@@ -13,7 +13,6 @@ from .quaternions import (
     ONE,
     Quaternion,
     SymplecticPair,
-    conjugate,
     embed_block,
     embed_quaternion,
     from_symplectic,
@@ -35,12 +34,10 @@ from .series import (
     perturbed_energy,
 )
 from .models import (
-    GapResult,
     LevelSpec,
     ModelKind,
     SigmaCurveResult,
     alpha_max,
-    compute_gap,
     gap_alpha_max,
     model_w,
     perturbation_spec,
@@ -60,12 +57,10 @@ from .relativistic import (
     RYDBERG_EV_PRECISE,
     ComparisonRow,
     ComparisonTable,
-    RelativisticLevel,
     comparison_table,
     hydrogen_levels_vs_potential,
     quaternionic_hydrogen_energy,
     relativistic_energy,
-    relativistic_level,
 )
 
 _ORACLE_EXPORTS = {
@@ -101,7 +96,6 @@ __all__ = [
     "ONE",
     "Quaternion",
     "SymplecticPair",
-    "conjugate",
     "embed_block",
     "embed_quaternion",
     "from_symplectic",
@@ -119,12 +113,10 @@ __all__ = [
     "is_convergent",
     "normalized_coefficient",
     "perturbed_energy",
-    "GapResult",
     "LevelSpec",
     "ModelKind",
     "SigmaCurveResult",
     "alpha_max",
-    "compute_gap",
     "gap_alpha_max",
     "model_w",
     "perturbation_spec",
@@ -142,10 +134,8 @@ __all__ = [
     "RYDBERG_EV_PRECISE",
     "ComparisonRow",
     "ComparisonTable",
-    "RelativisticLevel",
     "comparison_table",
     "hydrogen_levels_vs_potential",
     "quaternionic_hydrogen_energy",
     "relativistic_energy",
-    "relativistic_level",
 ] + sorted(_ORACLE_EXPORTS)

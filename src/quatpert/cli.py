@@ -64,7 +64,7 @@ def cli():
     required=True,
     help="Strength; repeat the flag for several values.",
 )
-@click.option("--max-order", type=int, default=30, show_default=True)
+@click.option("--max-order", type=click.IntRange(1, 50000), default=30, show_default=True)
 @output_options
 def cmd_sigma(model, n, alphas, max_order, fmt, path, precision):
     """Gap ratio sigma versus truncation order, one row per (alpha, order)."""
@@ -120,7 +120,7 @@ def cmd_hydrogen_table(alphaw, n_max, precise_rydberg, fmt, path, precision):
     required=True,
     help="Principal quantum number; repeatable.",
 )
-@click.option("--samples", type=int, default=100, show_default=True)
+@click.option("--samples", type=click.IntRange(2, 100000), default=100, show_default=True)
 @click.option("--precise-rydberg", is_flag=True)
 @output_options
 def cmd_levels(n_list, samples, precise_rydberg, fmt, path, precision):
@@ -142,7 +142,7 @@ def cmd_levels(n_list, samples, precise_rydberg, fmt, path, precision):
 @click.option("--n", type=int, required=True)
 @click.option("--alpha", type=float, required=True)
 @click.option("--grid", "grid_points", type=int, default=2000, show_default=True)
-@click.option("--order", type=int, default=50, show_default=True)
+@click.option("--order", type=click.IntRange(1, 50000), default=50, show_default=True)
 @click.option("--x-min", type=float, default=None, help="Override the box lower edge.")
 @click.option("--x-max", type=float, default=None, help="Override the box upper edge.")
 @output_options
@@ -159,7 +159,7 @@ def cmd_oracle(model, n, alpha, grid_points, order, x_min, x_max, fmt, path, pre
             grid_points,
         )
         report = oracle_mod.oracle_compare(kind, n, alpha, grid, order)
-    except (series.RadiusError, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     if report.grid_warning:
         click.echo(
@@ -194,13 +194,16 @@ def cmd_oracle(model, n, alpha, grid_points, order, x_min, x_max, fmt, path, pre
 @click.option("--e0", type=float, required=True, help="Unperturbed level (nonzero).")
 @click.option("--w", "w_mod", type=float, required=True, help="Coupling magnitude |W|.")
 @click.option("--alpha", type=float, required=True)
-@click.option("--max-order", type=int, default=100, show_default=True)
+@click.option("--max-order", type=click.IntRange(2, 100000), default=100, show_default=True)
 @output_options
 def cmd_series(e0, w_mod, alpha, max_order, fmt, path, precision):
     """Correction coefficients, terms and partial sums, one row per order."""
     try:
         spec = series.PerturbationSpec(e0=e0, w=complex(w_mod), alpha=alpha)
         evaluation = series.perturbed_energy(spec, max_order)
+        # at alpha = 1 the terms are the coefficients E_s
+        unit = series.PerturbationSpec(e0=e0, w=complex(w_mod), alpha=1.0)
+        coefficients = series.perturbed_energy(unit, max_order).terms
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if evaluation.at_boundary:
@@ -211,21 +214,15 @@ def cmd_series(e0, w_mod, alpha, max_order, fmt, path, precision):
     elif not evaluation.in_radius:
         click.echo("series: |alpha*W| exceeds |E0|; the series diverges", err=True)
     limit = evaluation.limit_estimate if evaluation.in_radius else None
-    rows = []
-    for k in range(max_order):
-        s = k + 1
-        rows.append([
-            s,
-            series.correction_coefficient_closed(spec, s),
-            evaluation.terms[k],
-            evaluation.partial_sums[k],
-            limit,
-            evaluation.in_radius,
-        ])
     write_output(
         OutputSpec(fmt, path, precision),
         ["order", "coefficient", "term", "partial_sum", "closed_form", "in_radius"],
-        rows,
+        [
+            [s, *columns, limit, evaluation.in_radius]
+            for s, columns in enumerate(
+                zip(coefficients, evaluation.terms, evaluation.partial_sums), 1
+            )
+        ],
     )
 
 

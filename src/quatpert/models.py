@@ -30,7 +30,7 @@ from enum import Enum
 from .series import (
     PerturbationSpec,
     RadiusWarning,
-    catalan,
+    _catalan_terms,
     perturbed_energy,
 )
 
@@ -69,19 +69,6 @@ class LevelSpec:
     def energy_unit(self) -> str:
         """Name of the model's natural energy scale."""
         return _UNIT_NAME[self.model]
-
-
-@dataclass(frozen=True)
-class GapResult:
-    """Gap between levels n and n+1: unperturbed, perturbed, and their ratio."""
-
-    model: ModelKind
-    n: int
-    unperturbed_gap: float
-    perturbed_gap: float
-    sigma: float
-    order: int
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -213,31 +200,29 @@ def sigma_series(model: ModelKind, n: int, alpha: float, order: int) -> float:
     """Gap ratio from the explicit per-model series (independent route).
 
     Matches :func:`sigma_ratio` term for term at every truncation order.
-    Powers are grouped as (alpha/scale)**(2s) so that no intermediate
-    quantity overflows at strengths inside the acceptance bounds.
+    Each level enters through y**s with y = (alpha/d)**2 or (d*alpha)**2,
+    and y <= 1/4 inside the pair radius; a term outside double range
+    raises ValueError.
     """
     _check_n(model, n)
     if order < 1:
         raise ValueError("order must be >= 1")
+    # bracket at order s: hi[s-1] * w_hi - lo[s-1] * w_lo, where
+    # _catalan_terms(y, order)[s-1] = (-1)**(s+1) * 2*Cat(s-1) * y**s
+    if model is ModelKind.HYDROGEN:
+        d_hi, d_lo = (n + 1) ** 2, n**2
+        y_hi, y_lo = (d_hi * alpha) ** 2, (d_lo * alpha) ** 2
+        w_hi, w_lo = 1.0 / d_hi, 1.0 / d_lo
+        scale = -d_hi * d_lo / (2 * n + 1)
+    else:
+        well = model is ModelKind.WELL
+        d_hi, d_lo = ((n + 1) ** 2, n**2) if well else (2 * n + 3, 2 * n + 1)
+        y_hi, y_lo = (alpha / d_hi) ** 2, (alpha / d_lo) ** 2
+        w_hi, w_lo = d_hi, d_lo
+        scale = 1.0 / (2 * n + 1) if well else 0.5
     total = 1.0
-    for s in range(1, order + 1):
-        c = 2 * catalan(s - 1)  # = (2/s) * C(2s-2, s-1), exact
-        sign = 1.0 if s % 2 == 1 else -1.0
-        if model is ModelKind.HYDROGEN:
-            bracket = ((n + 1) ** 2 * alpha) ** (2 * s) / (n + 1) ** 2 - (
-                n**2 * alpha
-            ) ** (2 * s) / n**2
-            total += -sign * c * bracket * n**2 * (n + 1) ** 2 / (2 * n + 1)
-        elif model is ModelKind.WELL:
-            bracket = (alpha / (n + 1) ** 2) ** (2 * s) * (n + 1) ** 2 - (
-                alpha / n**2
-            ) ** (2 * s) * n**2
-            total += sign * c * bracket / (2 * n + 1)
-        else:
-            bracket = (alpha / (2 * n + 3)) ** (2 * s) * (2 * n + 3) - (
-                alpha / (2 * n + 1)
-            ) ** (2 * s) * (2 * n + 1)
-            total += sign * (c / 2) * bracket
+    for hi, lo in zip(_catalan_terms(y_hi, order), _catalan_terms(y_lo, order)):
+        total += scale * (hi * w_hi - lo * w_lo)
     return total
 
 
@@ -258,21 +243,6 @@ def sigma_limit(model: ModelKind, n: int, alpha: float) -> float:
         math.hypot(e_lo, aw), e_lo
     )
     return lam / spectral_gap(model, n)
-
-
-def compute_gap(model: ModelKind, n: int, alpha: float, order: int) -> GapResult:
-    """Bundle lambda, Lambda and sigma for one pair at one truncation."""
-    lam = spectral_gap(model, n)
-    big_lam = perturbed_gap(model, n, alpha, order)
-    return GapResult(
-        model=model,
-        n=n,
-        unperturbed_gap=lam,
-        perturbed_gap=big_lam,
-        sigma=big_lam / lam,
-        order=order,
-        alpha=alpha,
-    )
 
 
 def sigma_curve(

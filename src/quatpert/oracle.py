@@ -201,14 +201,6 @@ class EmbeddedOperator:
         y2 = -1j * c * v1 - self.hamiltonian.apply(v2)
         return y1, y2
 
-    def norm_bound(self) -> float:
-        """Gershgorin bound on the spectral radius."""
-        h = self.hamiltonian
-        row = np.abs(h.diagonal) + abs(self.coupling)
-        if h.size > 1:
-            row = row + 2.0 * abs(h.off_diagonal)
-        return float(row.max())
-
     def _band(self) -> np.ndarray:
         """Upper Hermitian band in interleaved (phi1_i, phi2_i) order.
 

@@ -72,11 +72,6 @@ def qmul(a: Quaternion, b: Quaternion) -> Quaternion:
     )
 
 
-def conjugate(q: Quaternion) -> Quaternion:
-    """(w, -x, -y, -z); satisfies q * conjugate(q) = norm(q)**2."""
-    return q.conjugate()
-
-
 def to_symplectic(q: Quaternion) -> SymplecticPair:
     """Split q = z1 + j*z2 with z1 = w + x*i and z2 = y - z*i."""
     return SymplecticPair(complex(q.w, q.x), complex(q.y, -q.z))

@@ -23,19 +23,6 @@ ELECTRON_MASS_EV = 510998.95  # m_e c**2
 
 
 @dataclass(frozen=True)
-class RelativisticLevel:
-    """Hydrogen level (n, l) with its kinetically corrected energy in eV."""
-
-    n: int
-    l: int
-    energy_ev: float
-
-    def __post_init__(self):
-        if self.n < 1 or not 0 <= self.l <= self.n - 1:
-            raise ValueError(f"invalid quantum numbers (n={self.n}, l={self.l})")
-
-
-@dataclass(frozen=True)
 class ComparisonRow:
     """One table row: unperturbed, relativistic and quaternionic energies (eV)."""
 
@@ -61,10 +48,6 @@ def relativistic_energy(n: int, l: int, rydberg_ev: float = RYDBERG_EV) -> float
         8.0 * n / (2 * l + 1) - 3.0
     )
     return base - correction
-
-
-def relativistic_level(n: int, l: int, rydberg_ev: float = RYDBERG_EV) -> RelativisticLevel:
-    return RelativisticLevel(n=n, l=l, energy_ev=relativistic_energy(n, l, rydberg_ev))
 
 
 def quaternionic_hydrogen_energy(
@@ -128,6 +111,6 @@ def hydrogen_levels_vs_potential(
             raise ValueError("n must be >= 1")
         top = rydberg_ev / n**2
         for k in range(samples):
-            aw = top * k / (samples - 1)
+            aw = min(top, top * k / (samples - 1))  # the last sample may round past top
             rows.append((n, aw, quaternionic_hydrogen_energy(n, aw, rydberg_ev)))
     return rows

@@ -115,22 +115,41 @@ def normalized_coefficient(s: int) -> int:
     return value if s % 2 == 1 else -value
 
 
+def _catalan_terms(x: float, count: int) -> list[float]:
+    """Terms (-1)**(t+1) * 2*Cat(t-1) * x**t for t = 1..count, in floats.
+
+    Each term is the previous one times -x * Cat(t)/Cat(t-1) =
+    -x * 2(2t-1)/(t+1), so a term is accurate wherever it lies in double
+    range, even where x**t alone would underflow or Cat(t-1) overflow.
+    The step ratio is rounded once before it is applied, so exactness of
+    integer-valued terms is not guaranteed by construction; at x = 1 the
+    terms 2*Cat(t-1) are checked exact by test through t = 31, the last
+    that fits 53 bits.  A term outside double range raises ValueError
+    naming its series order 2t.
+    """
+    terms = []
+    term = 2.0 * x
+    for t in range(1, count + 1):
+        if not math.isfinite(term):
+            raise ValueError(f"the order-{2 * t} series term exceeds double range")
+        terms.append(term)
+        term *= -x * (4 * t - 2) / (t + 1)
+    return terms
+
+
 def correction_coefficient_closed(spec: PerturbationSpec, s: int) -> float:
     """Coefficient E_s of alpha**s from the closed formula.
 
     Odd orders vanish identically; even orders s = 2t evaluate
-    (-1)**(t+1) * Cat(t-1) * |W|**(2t) / (2E)**(2t-1) with the binomial
-    part carried in exact integer arithmetic before conversion.
+    (-1)**(t+1) * Cat(t-1) * |W|**(2t) / (2E)**(2t-1) through
+    :func:`_catalan_terms`.
     """
     if s < 1:
         raise ValueError("order must be >= 1")
     if s % 2 == 1:
         return 0.0
-    t = s // 2
-    cat = math.comb(2 * t - 2, t - 1) // t  # Catalan(t-1), exact
     rho2 = (spec.w_magnitude / (2.0 * spec.e0)) ** 2
-    sign = 1.0 if t % 2 == 1 else -1.0
-    return sign * 2.0 * spec.e0 * cat * rho2**t
+    return spec.e0 * _catalan_terms(rho2, s // 2)[-1]
 
 
 def correction_coefficient_recurrence(spec: PerturbationSpec, s: int) -> float:
@@ -180,24 +199,22 @@ def perturbed_energy(spec: PerturbationSpec, max_order: int = 100) -> SeriesEval
     """Partial sums of the correction series through alpha**max_order.
 
     Divergent requests are evaluated anyway and flagged through
-    ``in_radius``; beyond order ~400 the terms underflow to zero in double
-    precision for small couplings, which is left as-is.
+    ``in_radius``, as long as their terms and partial sums stay in double
+    range; past that a ValueError names the first order that leaves it.
+    At alpha = 1 the terms are the coefficients E_s themselves.
     """
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
     x = (spec.alpha * spec.w_magnitude / (2.0 * spec.e0)) ** 2
+    even = _catalan_terms(x, max_order // 2)
     terms: list[float] = []
     partial_sums: list[float] = []
     total = spec.e0
     for s in range(1, max_order + 1):
-        if s % 2 == 1:
-            term = 0.0
-        else:
-            t = s // 2
-            cat = math.comb(2 * t - 2, t - 1) // t
-            sign = 1.0 if t % 2 == 1 else -1.0
-            term = sign * 2.0 * spec.e0 * cat * x**t
+        term = spec.e0 * even[s // 2 - 1] if s % 2 == 0 else 0.0
         total += term
+        if not math.isfinite(total):
+            raise ValueError(f"the order-{s} partial sum exceeds double range")
         terms.append(term)
         partial_sums.append(total)
     in_radius = is_convergent(spec)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -18,7 +19,7 @@ def test_hydrogen_table_reproduces_reference(run_cli):
         "n", "E_complex_eV", "E_relativistic_eV", "E_quaternionic_eV", "alphaW_eV",
     ]
     reference = {
-        1: (-13.60000, -13.60090, -13.60080),
+        1: (-13.60000, -13.60090, -13.60083),
         2: (-3.40000, -3.40015, -3.40331),
         3: (-1.51111, -1.51116, -1.51854),
         4: (-0.85000, -0.85002, -0.86313),
@@ -28,7 +29,7 @@ def test_hydrogen_table_reproduces_reference(run_cli):
     for row in rows:
         n = int(row[0])
         for got, want in zip(map(float, row[1:4]), reference[n]):
-            assert abs(got - want) <= 1e-3
+            assert abs(got - want) <= 5e-6
 
 
 def test_hydrogen_table_zero_coupling(run_cli):
@@ -107,6 +108,17 @@ def test_levels_endpoints(run_cli):
     assert float(second[-1][2]) == pytest.approx(-4.80833, abs=1e-3)
 
 
+def test_levels_last_sample_stays_on_the_radius(run_cli):
+    # 13.6/9 * 94/94 rounds past 13.6/9; the last sample must not
+    proc = run_cli(
+        "levels", "--n", "3", "--samples", "95", "--precision", "15", expect=0
+    )
+    _, rows = parse_csv(proc.stdout)
+    assert len(rows) == 95
+    assert float(rows[-1][1]) == pytest.approx(13.6 / 9, abs=1e-15)
+    assert float(rows[-1][2]) == pytest.approx(-math.sqrt(2) * 13.6 / 9, abs=1e-14)
+
+
 def test_series_columns_and_convergence(run_cli):
     proc = run_cli(
         "series", "--e0", "0.5", "--w", "1", "--alpha", "0.25",
@@ -142,6 +154,42 @@ def test_series_divergent_flagged_not_refused(run_cli):
     assert all(r[5] == "false" for r in rows)
     assert all(r[4] == "" for r in rows)  # no closed form outside the radius
     assert "diverges" in proc.stderr
+
+
+def test_series_past_order_1040_is_finite(run_cli):
+    for order in (1040, 1100):
+        proc = run_cli(
+            "series", "--e0", "-13.6", "--w", "0.15", "--alpha", "1.0",
+            "--max-order", str(order), expect=0,
+        )
+        _, rows = parse_csv(proc.stdout)
+        assert len(rows) == order
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:5])
+
+
+def test_sigma_high_order_inside_radius_is_finite(run_cli):
+    proc = run_cli(
+        "sigma", "--model", "well", "--n", "1", "--alpha", "0.4",
+        "--max-order", "600", expect=0,
+    )
+    _, rows = parse_csv(proc.stdout)
+    assert len(rows) == 600
+    assert all(math.isfinite(float(row[2])) for row in rows)
+
+
+def test_out_of_double_range_exits_one_naming_the_order(run_cli):
+    cases = [
+        # beyond the pair radius the exact partial sums exceed double range
+        ("sigma", "--model", "well", "--n", "1", "--alpha", "1.0", "--max-order", "600"),
+        # |W| >> |E0|: the coefficient column overflows
+        ("series", "--e0", "1", "--w", "100", "--alpha", "0.001", "--max-order", "400"),
+        # a subnormal level
+        ("series", "--e0", "1e-310", "--w", "0.15", "--alpha", "1.0"),
+    ]
+    for args in cases:
+        proc = run_cli(*args, expect=1)
+        assert re.search(r"order-\d+ ", proc.stderr), proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_oracle_pass_and_columns(run_cli):
@@ -192,6 +240,14 @@ def test_usage_errors_exit_one(run_cli):
     run_cli("levels", "--n", "1", "--samples", "1", expect=1)
     run_cli("series", "--e0", "1", "--w", "1", "--alpha", "0.1",
             "--precision", "16", expect=1)
+    # order and sample counts are bounded
+    for args in [
+        ("series", "--e0", "1", "--w", "1", "--alpha", "0.1", "--max-order", "100001"),
+        ("sigma", "--model", "well", "--n", "1", "--alpha", "0.1", "--max-order", "50001"),
+        ("levels", "--n", "1", "--samples", "100001"),
+        ("oracle", "--model", "well", "--n", "1", "--alpha", "0.1", "--order", "50001"),
+    ]:
+        assert "is not in the range" in run_cli(*args, expect=1).stderr
 
 
 def test_io_error_exits_three(run_cli, tmp_path):

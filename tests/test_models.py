@@ -4,11 +4,9 @@ import random
 import pytest
 
 from quatpert.models import (
-    GapResult,
     LevelSpec,
     ModelKind,
     alpha_max,
-    compute_gap,
     gap_alpha_max,
     model_w,
     perturbed_gap,
@@ -184,14 +182,6 @@ def test_out_of_radius_warns_and_names_binding_level():
         perturbed_gap(HYD, 1, 0.2, 10)  # binding bound is the upper level's
     with pytest.warns(RadiusWarning, match="n=1"):
         perturbed_gap(WELL, 1, 0.8, 10)
-
-
-def test_compute_gap_consistency():
-    result = compute_gap(OSC, 1, 0.5, 40)
-    assert isinstance(result, GapResult)
-    assert result.unperturbed_gap == spectral_gap(OSC, 1)
-    assert result.sigma == result.perturbed_gap / result.unperturbed_gap
-    assert result.order == 40 and result.alpha == 0.5
 
 
 def test_sigma_curve_zero_strength_column():

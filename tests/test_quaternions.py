@@ -11,7 +11,6 @@ from quatpert.quaternions import (
     ONE,
     Quaternion,
     SymplecticPair,
-    conjugate,
     embed_block,
     embed_quaternion,
     from_symplectic,
@@ -53,12 +52,12 @@ def test_associativity_on_random_triples():
 
 
 def test_conjugate_basics():
-    assert conjugate(ONE) == ONE
-    assert conjugate(J) == -J
+    assert ONE.conjugate() == ONE
+    assert J.conjugate() == -J
     rng = random.Random(3)
     for _ in range(200):
         q = random_quaternion(rng)
-        product = qmul(q, conjugate(q))
+        product = qmul(q, q.conjugate())
         # componentwise expansion: q * conj(q) = (w^2 + x^2 + y^2 + z^2, 0, 0, 0)
         norm_sq = q.w**2 + q.x**2 + q.y**2 + q.z**2
         assert product.w == pytest.approx(norm_sq, rel=1e-12)

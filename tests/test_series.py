@@ -3,11 +3,14 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quatpert.series import (
     PerturbationSpec,
     RadiusError,
+    _catalan_terms,
     catalan,
     closed_form_limit,
     correction_coefficient_closed,
@@ -224,3 +227,125 @@ def test_validation():
         perturbed_energy(spec, 1)
     with pytest.raises(ValueError):
         normalized_coefficient(0)
+
+
+# --- the float Catalan-term kernel ---------------------------------------------
+
+DBL_MAX = 1.7976931348623157e308
+DBL_MIN = 2.2250738585072014e-308  # smallest normal double
+KERNEL_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+# Cat(m) = C(2m, m)/(m+1) in exact integers, apart from the library's
+# ratio recurrence
+EXACT_CATALAN = [math.comb(2 * m, m) // (m + 1) for m in range(1000)]
+
+
+def mp_catalan_terms(x, count):
+    """(-1)**(t+1) * 2*Cat(t-1) * x**t for t = 1..count <= 1000 at 50 digits.
+
+    x is taken exactly as the float given.
+    """
+    with mpmath.workdps(50):
+        xm = mpmath.mpf(x)
+        power = mpmath.mpf(1)
+        terms = []
+        for t in range(1, count + 1):
+            power *= xm
+            terms.append((-1) ** (t + 1) * 2 * EXACT_CATALAN[t - 1] * power)
+        return terms
+
+
+def assert_terms_match(got, reference):
+    for t, (g, r) in enumerate(zip(got, reference), 1):
+        if abs(r) >= DBL_MIN:
+            assert abs(g - r) <= 1e-13 * abs(r), (t, g, r)
+        else:  # below the normal range only the magnitude is meaningful
+            assert abs(g) < DBL_MIN, (t, g, r)
+
+
+x_values = st.one_of(
+    st.floats(0.0, 2.0),  # inside (x < 1/4) and beyond the radius
+    st.floats(-300.0, 3.0).map(lambda e: 10.0**e),  # across the exponent range
+)
+
+
+@KERNEL_SETTINGS
+@given(x=x_values)
+@example(x=(0.15 / 27.2) ** 2)  # the hydrogen ground level at alpha*|W| = 0.15 eV
+@example(x=0.1)  # x**t underflows past order 616, the terms only past 1520
+@example(x=0.25)  # on the radius
+@example(x=0.26)  # just beyond it
+def test_catalan_terms_match_50_digit_reference(x):
+    # the kernel's terms do not depend on count, so one pass covers every
+    # order up to 2000
+    count = 1000
+    reference = mp_catalan_terms(x, count)
+    first_out = next((t for t, r in enumerate(reference, 1) if abs(r) > DBL_MAX), None)
+    if first_out is None:
+        assert_terms_match(_catalan_terms(x, count), reference)
+    else:
+        with pytest.raises(ValueError, match=f"order-{2 * first_out} "):
+            _catalan_terms(x, count)
+        assert_terms_match(_catalan_terms(x, first_out - 1), reference)
+
+
+def test_catalan_terms_exact_integers():
+    # x = 1: the terms are 2, -2, 4, -10, 28, ... exactly while they fit 53 bits
+    terms = _catalan_terms(1.0, 31)
+    assert terms == [(-1) ** (t + 1) * 2 * catalan(t - 1) for t in range(1, 32)]
+
+
+def test_term_below_power_underflow_is_accurate():
+    # x**72 underflows to zero, but the order-144 term is 8.47e-285
+    spec = PerturbationSpec(e0=-13.6, w=complex(0.15), alpha=1.0)
+    ev = perturbed_energy(spec, 200)
+    x = (spec.alpha * spec.w_magnitude / (2.0 * spec.e0)) ** 2
+    assert x**72 == 0.0
+    with mpmath.workdps(50):
+        reference = mpmath.mpf(spec.e0) * mp_catalan_terms(x, 72)[-1]
+    assert float(reference) == pytest.approx(-8.47e-285, rel=1e-3)
+    assert abs(ev.terms[143] - reference) <= 1e-13 * abs(reference)
+
+
+@KERNEL_SETTINGS
+@given(
+    e0=st.floats(0.01, 100.0),
+    negative=st.booleans(),
+    w=st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
+    alpha=st.floats(-3.0, 3.0),
+)
+def test_sign_and_phase_invariance_exact(e0, negative, w, alpha):
+    e0 = -e0 if negative else e0
+    ratio = abs(alpha * w) / e0
+    if ratio > 1.5:  # keep the terms of the divergent cases inside double range
+        alpha *= 1.5 / ratio
+    base = perturbed_energy(PerturbationSpec(e0=e0, w=w, alpha=alpha), 80)
+    # alpha -> -alpha, and the phase turns that keep |W| bit for bit
+    for w2, a2 in [
+        (w, -alpha),
+        (-w, alpha),
+        (w.conjugate(), alpha),
+        (complex(-w.imag, w.real), -alpha),
+    ]:
+        assert perturbed_energy(PerturbationSpec(e0=e0, w=w2, alpha=a2), 80) == base
+
+
+def test_order_100000_inside_radius_is_finite():
+    for e0, w_mag, alpha in [(-13.6, 0.15, 1.0), (1.0, 1.0, 0.9), (1.0, 2.0, 0.5)]:
+        ev = perturbed_energy(PerturbationSpec(e0=e0, w=complex(w_mag), alpha=alpha), 100000)
+        assert all(math.isfinite(v) for v in ev.terms)
+        assert all(math.isfinite(v) for v in ev.partial_sums)
+        assert ev.value == pytest.approx(ev.limit_estimate, rel=1e-6)
+
+
+def test_out_of_double_range_names_the_order():
+    # beyond the radius the terms pass 1.8e308 at some order
+    with pytest.raises(ValueError, match=r"order-\d+ "):
+        perturbed_energy(PerturbationSpec(e0=1.0, w=complex(1.5), alpha=1.0), 100000)
+    # a subnormal level puts even the first term out of range
+    with pytest.raises(ValueError, match="order-2 "):
+        perturbed_energy(PerturbationSpec(e0=1e-310, w=complex(0.15), alpha=1.0), 10)
+    # the order-2 term 1.6e308 is finite, e0 plus it is not
+    with pytest.raises(ValueError, match="order-2 partial sum"):
+        perturbed_energy(PerturbationSpec(e0=8e307, w=complex(8e307), alpha=2.0), 4)
