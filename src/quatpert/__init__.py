@@ -6,6 +6,8 @@ hydrogen / infinite well / harmonic oscillator, a relativistic-correction
 comparison table, and a nonperturbative matrix-eigenvalue cross-check.
 """
 
+from types import ModuleType as _ModuleType
+
 from .quaternions import (
     I,
     J,
@@ -90,52 +92,7 @@ def __getattr__(name):
 
 
 __all__ = [
-    "I",
-    "J",
-    "K",
-    "ONE",
-    "Quaternion",
-    "SymplecticPair",
-    "embed_block",
-    "embed_quaternion",
-    "from_symplectic",
-    "qmul",
-    "to_symplectic",
-    "PerturbationSpec",
-    "RadiusError",
-    "RadiusWarning",
-    "SeriesEvaluation",
-    "catalan",
-    "closed_form_limit",
-    "correction_coefficient_closed",
-    "correction_coefficient_recurrence",
-    "divergence_witness",
-    "is_convergent",
-    "normalized_coefficient",
-    "perturbed_energy",
-    "LevelSpec",
-    "ModelKind",
-    "SigmaCurveResult",
-    "alpha_max",
-    "gap_alpha_max",
-    "model_w",
-    "perturbation_spec",
-    "perturbed_gap",
-    "perturbed_level",
-    "sigma_alpha_limit",
-    "sigma_curve",
-    "sigma_limit",
-    "sigma_ratio",
-    "sigma_series",
-    "spectral_gap",
-    "unperturbed_energy",
-    "ELECTRON_MASS_EV",
-    "RYDBERG_EV",
-    "RYDBERG_EV_PRECISE",
-    "ComparisonRow",
-    "ComparisonTable",
-    "comparison_table",
-    "hydrogen_levels_vs_potential",
-    "quaternionic_hydrogen_energy",
-    "relativistic_energy",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ] + sorted(_ORACLE_EXPORTS)

@@ -43,11 +43,6 @@ class ModelKind(str, Enum):
 
 _MIN_N = {ModelKind.HYDROGEN: 1, ModelKind.WELL: 1, ModelKind.OSCILLATOR: 0}
 _W_MAGNITUDE = {ModelKind.HYDROGEN: 2.0, ModelKind.WELL: 2.0, ModelKind.OSCILLATOR: 1.0}
-_UNIT_NAME = {
-    ModelKind.HYDROGEN: "R_y",
-    ModelKind.WELL: "E_L",
-    ModelKind.OSCILLATOR: "E_omega",
-}
 
 
 def _check_n(model: ModelKind, n: int) -> None:
@@ -64,11 +59,6 @@ class LevelSpec:
 
     def __post_init__(self):
         _check_n(self.model, self.n)
-
-    @property
-    def energy_unit(self) -> str:
-        """Name of the model's natural energy scale."""
-        return _UNIT_NAME[self.model]
 
 
 @dataclass(frozen=True)

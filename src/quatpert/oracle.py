@@ -13,9 +13,9 @@ hbar**2/2m = 1), for the infinite well (V = 0 on a box of width L, levels
 n**2 pi**2 / L**2) and the harmonic oscillator (V = x**2, levels 2n + 1,
 i.e. E_omega = 2 in grid units).
 
-Eigenvalues are taken from a direct dense decomposition of the Hermitian
-matrix (reduction to tridiagonal form plus QL, via LAPACK); the pentadiagonal
-structure under component interleaving keeps that fast at N = 2000.
+Eigenvalues are taken from the full spectrum of the Hermitian band matrix
+(`scipy.linalg.eig_banded` on the pentadiagonal band that interleaving the
+two components gives), which keeps the solve fast at N = 2000.
 Eigenvectors for residual and branch checks come from shifted inverse
 iteration with a banded solve.  Calls are independent and hold no shared
 state; sweeps may run per-strength in parallel.
@@ -53,10 +53,17 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError("box edges must be finite")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.n_points < 3:
             raise ValueError("n_points must be >= 3")
+        h2 = self.h * self.h
+        if not (h2 > 0.0 and 0.0 < 1.0 / h2 < math.inf):
+            raise ValueError(
+                f"grid spacing {self.h:.6g} leaves 1/h**2 outside double range"
+            )
 
     @property
     def h(self) -> float:
@@ -205,7 +212,7 @@ class EmbeddedOperator:
         """Upper Hermitian band in interleaved (phi1_i, phi2_i) order.
 
         Interleaving turns the block matrix into a pentadiagonal one, which
-        is what keeps the dense decomposition fast at large N.
+        is what keeps the banded eigensolve fast at large N.
         """
         h = self.hamiltonian
         n2 = self.size
@@ -225,15 +232,15 @@ def embed(h: DiscreteHamiltonian, alpha: float, w: complex) -> EmbeddedOperator:
     return EmbeddedOperator(hamiltonian=h, alpha=alpha, w=complex(w))
 
 
-def _check_size(op: EmbeddedOperator) -> None:
-    if op.size > MAX_DENSE_SIZE:
+def _check_size(size: int) -> None:
+    if size > MAX_DENSE_SIZE:
         raise ValueError(
-            f"dense eigensolve limited to {MAX_DENSE_SIZE}; got size {op.size}"
+            f"dense eigensolve limited to {MAX_DENSE_SIZE}; got size {size}"
         )
 
 
 def _all_eigenvalues(op: EmbeddedOperator) -> np.ndarray:
-    _check_size(op)
+    _check_size(op.size)
     try:
         return sla.eig_banded(op._band(), lower=False, eigvals_only=True, select="a")
     except np.linalg.LinAlgError as exc:
@@ -275,6 +282,17 @@ def _residual(op: EmbeddedOperator, eigenvalue: float,
     return r
 
 
+def _certify(op: EmbeddedOperator, lam: float,
+             eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvector (v1, v2) of lam, checked to ||B v - lam v|| <= 1e-8 ||B||."""
+    v1, v2 = _eigenvector(op, lam)
+    if _residual(op, lam, v1, v2) > _RESIDUAL_REL * float(np.abs(eigs).max()):
+        raise OracleError(
+            f"eigenpair residual exceeds {_RESIDUAL_REL:g} * ||B|| at {lam:.6g}"
+        )
+    return v1, v2
+
+
 def spectrum(op: EmbeddedOperator, k: int, reference=None) -> list[float]:
     """The k eigenvalues of the embedding nearest the reference values.
 
@@ -300,13 +318,8 @@ def spectrum(op: EmbeddedOperator, k: int, reference=None) -> list[float]:
         idx = next(int(i) for i in order if int(i) not in taken)
         taken.append(idx)
     selected = sorted(float(eigs[i]) for i in taken)
-    bound = _RESIDUAL_REL * float(np.abs(eigs).max())
     for lam in selected:
-        v1, v2 = _eigenvector(op, lam)
-        if _residual(op, lam, v1, v2) > bound:
-            raise OracleError(
-                f"eigenpair residual exceeds {_RESIDUAL_REL:g} * ||B|| at {lam:.6g}"
-            )
+        _certify(op, lam, eigs)
     return selected
 
 
@@ -374,6 +387,7 @@ def oracle_compare(
             f"alpha={alpha:.6g} outside the {model.value} n={n} radius "
             f"{alpha_max(model, n):.6g}"
         )
+    _check_size(2 * grid.n_points)  # before any O(N) work on the grid
     ham = discretize(model, grid)
     m = ham.level_index(n)
 
@@ -388,12 +402,9 @@ def oracle_compare(
     closed = closed_form_limit(spec)
 
     op = embed(ham, alpha, model_w(level) * ham.level_scale)
-    _check_size(op)
     eigs = _all_eigenvalues(op)
     lam = float(eigs[ham.size + m])  # positive branch, ordering preserved
-    v1, v2 = _eigenvector(op, lam)
-    if _residual(op, lam, v1, v2) > _RESIDUAL_REL * float(np.abs(eigs).max()):
-        raise OracleError("eigenpair residual out of tolerance")
+    v1, v2 = _certify(op, lam, eigs)
     overlap = abs(np.vdot(u_vec, v1)) / (np.linalg.norm(u_vec) * np.linalg.norm(v1))
     if overlap < 0.99 or np.linalg.norm(v1) <= np.linalg.norm(v2):
         raise OracleError(

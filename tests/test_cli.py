@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
+
+import quatpert
 
 
 def parse_csv(text):
@@ -240,11 +245,15 @@ def test_usage_errors_exit_one(run_cli):
     run_cli("levels", "--n", "1", "--samples", "1", expect=1)
     run_cli("series", "--e0", "1", "--w", "1", "--alpha", "0.1",
             "--precision", "16", expect=1)
+    proc = run_cli("oracle", "--model", "well", "--n", "1", "--alpha", "0.1",
+                   "--grid", "100", "--x-max", "1e200", expect=1)
+    assert "Error:" in proc.stderr and "Traceback" not in proc.stderr
     # order and sample counts are bounded
     for args in [
         ("series", "--e0", "1", "--w", "1", "--alpha", "0.1", "--max-order", "100001"),
         ("sigma", "--model", "well", "--n", "1", "--alpha", "0.1", "--max-order", "50001"),
         ("levels", "--n", "1", "--samples", "100001"),
+        ("hydrogen-table", "--alphaw", "0.15", "--n-max", "100001"),
         ("oracle", "--model", "well", "--n", "1", "--alpha", "0.1", "--order", "50001"),
     ]:
         assert "is not in the range" in run_cli(*args, expect=1).stderr
@@ -291,3 +300,36 @@ def test_json_format(run_cli):
     data = json.loads(proc2.stdout)
     assert data["rows"][0][4] is None  # closed form absent outside the radius
     assert data["rows"][0][5] is False
+
+
+def test_help_lists_output_options_after_own_options(run_cli):
+    for command in ("sigma", "hydrogen-table", "levels", "oracle", "series"):
+        text = run_cli(command, "--help", expect=0).stdout
+        options = re.findall(r"^  (--[\w-]+)", text, re.MULTILINE)
+        assert len(options) > 4, text
+        assert options[-4:] == ["--format", "--out", "--precision", "--help"], text
+
+
+def test_public_names_resolve_and_scipy_loads_with_the_oracle():
+    script = """
+import sys
+import quatpert
+oracle_names = quatpert._ORACLE_EXPORTS
+for name in quatpert.__all__:
+    if name not in oracle_names:
+        getattr(quatpert, name)
+assert "scipy" not in sys.modules, "scipy loaded before an oracle name was touched"
+for name in quatpert.__all__:
+    getattr(quatpert, name)
+assert "scipy" in sys.modules
+assert len(set(quatpert.__all__)) == len(quatpert.__all__)
+assert oracle_names <= set(quatpert.__all__)
+"""
+    src = os.path.dirname(os.path.dirname(quatpert.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr

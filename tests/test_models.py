@@ -36,12 +36,6 @@ def test_coupling_magnitudes():
     assert model_w(LevelSpec(OSC, 3)) == 1.0
 
 
-def test_energy_unit_names():
-    assert LevelSpec(HYD, 1).energy_unit == "R_y"
-    assert LevelSpec(WELL, 1).energy_unit == "E_L"
-    assert LevelSpec(OSC, 0).energy_unit == "E_omega"
-
-
 def test_level_validation():
     with pytest.raises(ValueError):
         LevelSpec(HYD, 0)

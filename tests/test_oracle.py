@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import quatpert.oracle as oracle_mod
 from quatpert.models import ModelKind
 from quatpert.oracle import (
     MAX_DENSE_SIZE,
@@ -32,6 +33,11 @@ def test_grid_validation():
         Grid1D(0.0, 0.0, 100)
     with pytest.raises(ValueError):
         Grid1D(0.0, 1.0, 2)
+    # edges must be finite, and so must 1/h**2 and h**2
+    for x_min, x_max in [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
+                         (-1e308, 1e308), (0.0, 1e200), (0.0, 1e-300)]:
+        with pytest.raises(ValueError):
+            Grid1D(x_min, x_max, 100)
     grid = Grid1D(0.0, 1.0, 9)
     assert grid.h == 0.1
     assert grid.points()[0] == pytest.approx(0.1)
@@ -222,10 +228,18 @@ def test_apply_matches_dense_matvec():
     np.testing.assert_allclose(np.concatenate([y1, y2]), expected, atol=1e-12)
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
     assert MAX_DENSE_SIZE == 4096
     ham = discretize(WELL, Grid1D(0.0, 1.0, 2048))
     spectrum(embed(ham, 0.0, 0.0), 1)  # 2N = 4096 still admitted
     ham = discretize(WELL, Grid1D(0.0, 1.0, 2049))
     with pytest.raises(ValueError):
         spectrum(embed(ham, 0.0, 0.0), 1)
+
+    # oracle_compare refuses an oversized grid before any work on it
+    def no_discretize(*args):
+        raise AssertionError("discretized before the size check")
+
+    monkeypatch.setattr(oracle_mod, "discretize", no_discretize)
+    with pytest.raises(ValueError, match="dense eigensolve limited"):
+        oracle_compare(WELL, 1, 0.1, Grid1D(0.0, 1.0, 2049))
