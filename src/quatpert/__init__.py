@@ -77,7 +77,6 @@ _ORACLE_EXPORTS = {
     "discretize",
     "embed",
     "oracle_compare",
-    "spectrum",
 }
 
 

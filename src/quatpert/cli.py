@@ -162,16 +162,16 @@ def cmd_oracle(model, n, alpha, grid_points, order, x_min, x_max):
         report.rel_oracle_vs_series, report.rel_grid_error, report.tolerance,
         "PASS" if report.passed else "FAIL",
     ]
-    notes, failure = [], None
+    failure = None
     if report.grid_warning:
-        notes.append(
+        failure = (
             f"grid level off by {report.rel_grid_error:.2%} from the analytic value; "
             "refine the grid"
         )
-    if not report.passed:
+    elif not report.passed:
         deviation = max(report.rel_oracle_vs_closed, report.rel_oracle_vs_series)
         failure = f"oracle deviation {deviation:.3e} exceeds tolerance {report.tolerance:.3e}"
-    return [row], notes, failure
+    return [row], [], failure
 
 
 @table_command(

@@ -13,24 +13,28 @@ hbar**2/2m = 1), for the infinite well (V = 0 on a box of width L, levels
 n**2 pi**2 / L**2) and the harmonic oscillator (V = x**2, levels 2n + 1,
 i.e. E_omega = 2 in grid units).
 
-Eigenvalues are taken from the full spectrum of the Hermitian band matrix
-(`scipy.linalg.eig_banded` on the pentadiagonal band that interleaving the
-two components gives), which keeps the solve fast at N = 2000.
-Eigenvectors for residual and branch checks come from shifted inverse
-iteration with a banded solve.  Calls are independent and hold no shared
-state; sweeps may run per-strength in parallel.
+`oracle_compare` takes one eigenpair of the embedding, on one route: the
+eigenvalue at the level's sorted position on the positive branch of the
+full spectrum of the Hermitian band matrix (`scipy.linalg.eig_banded` on
+the pentadiagonal band that interleaving the two components gives), and
+its eigenvector from shifted inverse iteration with a banded solve.  The
+pair is certified by its residual, ||B v - lambda v|| <= 1e-8 ||B||, and
+its branch by the overlap of the first block with the unperturbed
+eigenvector of H.  Calls are independent and hold no shared state; sweeps
+may run per-strength in parallel.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .models import LevelSpec, ModelKind, alpha_max, model_w, unperturbed_energy
-from .series import PerturbationSpec, RadiusError, closed_form_limit, perturbed_energy
+from .models import LevelSpec, ModelKind, alpha_max, perturbation_spec
+from .series import RadiusError, closed_form_limit, perturbed_energy
 
 MAX_DENSE_SIZE = 4096  # refuse larger dense eigenproblems rather than degrade
 
@@ -40,7 +44,7 @@ _GRID_WARNING_REL = 0.005
 _RESIDUAL_REL = 1e-8
 
 
-class OracleError(RuntimeError):
+class OracleError(ValueError):
     """The eigensolver or the branch matching failed."""
 
 
@@ -59,10 +63,13 @@ class Grid1D:
             raise ValueError("x_max must exceed x_min")
         if self.n_points < 3:
             raise ValueError("n_points must be >= 3")
+        # the eigensolvers square the stencil entries ~1/h**2
         h2 = self.h * self.h
-        if not (h2 > 0.0 and 0.0 < 1.0 / h2 < math.inf):
+        h4 = h2 * h2
+        if not (h4 > 0.0 and sys.float_info.min <= 1.0 / h4 < math.inf):
             raise ValueError(
-                f"grid spacing {self.h:.6g} leaves 1/h**2 outside double range"
+                f"box [{self.x_min:.6g}, {self.x_max:.6g}] at N = {self.n_points}: "
+                f"grid spacing {self.h:.6g} leaves 1/h**4 outside the normal double range"
             )
 
     @property
@@ -87,8 +94,6 @@ class DiscreteHamiltonian:
     off_diagonal: float
     level_scale: float = 1.0
     n_min: int = 0
-    model: ModelKind | None = None
-    grid: Grid1D | None = None
 
     @property
     def size(self) -> int:
@@ -100,21 +105,8 @@ class DiscreteHamiltonian:
             raise ValueError(f"level n={n} not resolvable on this grid")
         return index
 
-    def eigenvalues(self, lo: int, hi: int) -> np.ndarray:
-        """Eigenvalues at sorted positions lo..hi inclusive (grid units)."""
-        if self.size == 1:
-            return self.diagonal.copy()
-        return sla.eigh_tridiagonal(
-            self.diagonal,
-            np.full(self.size - 1, self.off_diagonal),
-            select="i",
-            select_range=(lo, hi),
-            eigvals_only=True,
-        )
-
     def eigenpair(self, index: int) -> tuple[float, np.ndarray]:
-        if self.size == 1:
-            return float(self.diagonal[0]), np.ones(1)
+        """Eigenvalue at sorted position `index` (grid units) and its vector."""
         w, v = sla.eigh_tridiagonal(
             self.diagonal,
             np.full(self.size - 1, self.off_diagonal),
@@ -125,17 +117,15 @@ class DiscreteHamiltonian:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         out = self.diagonal * vec
-        if self.size > 1:
-            out[:-1] += self.off_diagonal * vec[1:]
-            out[1:] += self.off_diagonal * vec[:-1]
+        out[:-1] += self.off_diagonal * vec[1:]
+        out[1:] += self.off_diagonal * vec[:-1]
         return out
 
     def to_dense(self) -> np.ndarray:
         m = np.diag(self.diagonal)
-        if self.size > 1:
-            idx = np.arange(self.size - 1)
-            m[idx, idx + 1] = self.off_diagonal
-            m[idx + 1, idx] = self.off_diagonal
+        idx = np.arange(self.size - 1)
+        m[idx, idx + 1] = self.off_diagonal
+        m[idx + 1, idx] = self.off_diagonal
         return m
 
 
@@ -157,10 +147,15 @@ def discretize(model: ModelKind, grid: Grid1D) -> DiscreteHamiltonian:
             off_diagonal=-1.0 / h**2,
             level_scale=math.pi**2 / width**2,
             n_min=1,
-            model=model,
-            grid=grid,
         )
     if model is ModelKind.OSCILLATOR:
+        edge = max(abs(grid.x_min), abs(grid.x_max))
+        peak = 2.0 / h**2 + edge * edge
+        if not math.isfinite(peak * peak):
+            raise ValueError(
+                f"box [{grid.x_min:.6g}, {grid.x_max:.6g}]: the oscillator diagonal "
+                "2/h**2 + x**2 leaves double range when squared"
+            )
         x = grid.points()
         diag = 2.0 / h**2 + x**2
         return DiscreteHamiltonian(
@@ -168,8 +163,6 @@ def discretize(model: ModelKind, grid: Grid1D) -> DiscreteHamiltonian:
             off_diagonal=-1.0 / h**2,
             level_scale=2.0,
             n_min=0,
-            model=model,
-            grid=grid,
         )
     raise ValueError("only the well and oscillator are discretized here")
 
@@ -215,15 +208,12 @@ class EmbeddedOperator:
         is what keeps the banded eigensolve fast at large N.
         """
         h = self.hamiltonian
-        n2 = self.size
-        u = 1 if h.size == 1 else 2
-        band = np.zeros((u + 1, n2), dtype=complex)
-        band[u, 0::2] = h.diagonal
-        band[u, 1::2] = -h.diagonal
-        band[u - 1, 1::2] = 1j * np.conj(self.coupling)
-        if u == 2:
-            band[0, 2::2] = h.off_diagonal
-            band[0, 3::2] = -h.off_diagonal
+        band = np.zeros((3, self.size), dtype=complex)
+        band[2, 0::2] = h.diagonal
+        band[2, 1::2] = -h.diagonal
+        band[1, 1::2] = 1j * np.conj(self.coupling)
+        band[0, 2::2] = h.off_diagonal
+        band[0, 3::2] = -h.off_diagonal
         return band
 
 
@@ -232,15 +222,7 @@ def embed(h: DiscreteHamiltonian, alpha: float, w: complex) -> EmbeddedOperator:
     return EmbeddedOperator(hamiltonian=h, alpha=alpha, w=complex(w))
 
 
-def _check_size(size: int) -> None:
-    if size > MAX_DENSE_SIZE:
-        raise ValueError(
-            f"dense eigensolve limited to {MAX_DENSE_SIZE}; got size {size}"
-        )
-
-
 def _all_eigenvalues(op: EmbeddedOperator) -> np.ndarray:
-    _check_size(op.size)
     try:
         return sla.eig_banded(op._band(), lower=False, eigvals_only=True, select="a")
     except np.linalg.LinAlgError as exc:
@@ -249,25 +231,23 @@ def _all_eigenvalues(op: EmbeddedOperator) -> np.ndarray:
 
 def _eigenvector(op: EmbeddedOperator, eigenvalue: float) -> tuple[np.ndarray, np.ndarray]:
     """Shifted inverse iteration; returns the block components (v1, v2)."""
-    h = op.hamiltonian
     n2 = op.size
-    u = 1 if h.size == 1 else 2
     band = op._band()
-    ab = np.zeros((2 * u + 1, n2), dtype=complex)
-    ab[u, :] = band[u, :] - eigenvalue
-    for k in range(1, u + 1):
-        ab[u - k, k:] = band[u - k, k:]
-        ab[u + k, :-k] = np.conj(band[u - k, k:])
+    ab = np.zeros((5, n2), dtype=complex)  # full band: two rows each side
+    ab[2, :] = band[2, :] - eigenvalue
+    for k in (1, 2):
+        ab[2 - k, k:] = band[2 - k, k:]
+        ab[2 + k, :-k] = np.conj(band[2 - k, k:])
     rng = np.random.default_rng(8128)
     v = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
     v /= np.linalg.norm(v)
     for _ in range(3):
         try:
-            v = sla.solve_banded((u, u), ab, v)
+            v = sla.solve_banded((2, 2), ab, v)
         except np.linalg.LinAlgError:
             # exactly singular shift: nudge by one part in 1e13
-            ab[u, :] -= abs(eigenvalue) * 1e-13 + 1e-300
-            v = sla.solve_banded((u, u), ab, v)
+            ab[2, :] -= abs(eigenvalue) * 1e-13 + 1e-300
+            v = sla.solve_banded((2, 2), ab, v)
         v /= np.linalg.norm(v)
     return v[0::2], v[1::2]
 
@@ -282,45 +262,18 @@ def _residual(op: EmbeddedOperator, eigenvalue: float,
     return r
 
 
-def _certify(op: EmbeddedOperator, lam: float,
-             eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvector (v1, v2) of lam, checked to ||B v - lam v|| <= 1e-8 ||B||."""
+def _certified_eigenpair(op: EmbeddedOperator,
+                         index: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Eigenvalue at sorted position `index` of the embedding, with its
+    eigenvector (v1, v2) checked to ||B v - lam v|| <= 1e-8 ||B||."""
+    eigs = _all_eigenvalues(op)
+    lam = float(eigs[index])
     v1, v2 = _eigenvector(op, lam)
     if _residual(op, lam, v1, v2) > _RESIDUAL_REL * float(np.abs(eigs).max()):
         raise OracleError(
             f"eigenpair residual exceeds {_RESIDUAL_REL:g} * ||B|| at {lam:.6g}"
         )
-    return v1, v2
-
-
-def spectrum(op: EmbeddedOperator, k: int, reference=None) -> list[float]:
-    """The k eigenvalues of the embedding nearest the reference values.
-
-    `reference` defaults to the unperturbed embedded levels (+/- the levels
-    of H closest to zero).  Every returned eigenvalue is verified against
-    its inverse-iteration eigenvector to ||B v - lambda v|| <= 1e-8 ||B||.
-    """
-    if k < 1 or k > op.size:
-        raise ValueError(f"k must be in 1..{op.size}")
-    eigs = _all_eigenvalues(op)
-    if reference is None:
-        n = op.hamiltonian.size
-        pairs = min(n, (k + 1) // 2)
-        levels = op.hamiltonian.eigenvalues(0, pairs - 1)
-        refs = sorted(np.concatenate([levels, -levels]), key=abs)[:k]
-    else:
-        refs = list(np.atleast_1d(np.asarray(reference, dtype=float)))
-        if len(refs) != k:
-            raise ValueError("reference must provide one value per requested eigenvalue")
-    taken: list[int] = []
-    for ref in refs:
-        order = np.argsort(np.abs(eigs - ref))
-        idx = next(int(i) for i in order if int(i) not in taken)
-        taken.append(idx)
-    selected = sorted(float(eigs[i]) for i in taken)
-    for lam in selected:
-        _certify(op, lam, eigs)
-    return selected
+    return lam, v1, v2
 
 
 def compare_tolerance(n_points: int) -> float:
@@ -377,8 +330,9 @@ def oracle_compare(
     The embedded eigenvalue is the member of the +/- pair continuous from
     the unperturbed level at alpha = 0 (same ordering on the positive
     branch, confirmed by the overlap of its first block with the
-    unperturbed eigenvector).  Rejects strengths outside the level radius;
-    warns when the bare grid level is off its analytic value by > 0.5%.
+    unperturbed eigenvector).  Rejects strengths outside the level radius
+    and embedded sizes above MAX_DENSE_SIZE.  Warns, and does not pass,
+    when the bare grid level is off its analytic value by > 0.5%.
     """
     model = ModelKind(model)
     level = LevelSpec(model, n)
@@ -387,24 +341,25 @@ def oracle_compare(
             f"alpha={alpha:.6g} outside the {model.value} n={n} radius "
             f"{alpha_max(model, n):.6g}"
         )
-    _check_size(2 * grid.n_points)  # before any O(N) work on the grid
+    if 2 * grid.n_points > MAX_DENSE_SIZE:  # before any O(N) work on the grid
+        raise ValueError(
+            f"dense eigensolve limited to {MAX_DENSE_SIZE}; got size {2 * grid.n_points}"
+        )
+    spec = perturbation_spec(level, alpha)
     ham = discretize(model, grid)
     m = ham.level_index(n)
 
-    e0_analytic = unperturbed_energy(level)
+    e0_analytic = spec.e0
     e0_grid, u_vec = ham.eigenpair(m)
     e0_discrete = e0_grid / ham.level_scale
     rel_grid_error = abs(e0_discrete - e0_analytic) / abs(e0_analytic)
     grid_warning = rel_grid_error > _GRID_WARNING_REL
 
-    spec = PerturbationSpec(e0=e0_analytic, w=complex(model_w(level)), alpha=alpha)
     series_value = perturbed_energy(spec, 2 * order).value
     closed = closed_form_limit(spec)
 
-    op = embed(ham, alpha, model_w(level) * ham.level_scale)
-    eigs = _all_eigenvalues(op)
-    lam = float(eigs[ham.size + m])  # positive branch, ordering preserved
-    v1, v2 = _certify(op, lam, eigs)
+    op = embed(ham, alpha, spec.w * ham.level_scale)
+    lam, v1, v2 = _certified_eigenpair(op, ham.size + m)  # positive branch, ordering preserved
     overlap = abs(np.vdot(u_vec, v1)) / (np.linalg.norm(u_vec) * np.linalg.norm(v1))
     if overlap < 0.99 or np.linalg.norm(v1) <= np.linalg.norm(v2):
         raise OracleError(
@@ -430,6 +385,6 @@ def oracle_compare(
         rel_oracle_vs_series=rel_series,
         rel_grid_error=rel_grid_error,
         tolerance=tol,
-        passed=bool(rel_closed <= tol and rel_series <= tol),
+        passed=bool(rel_closed <= tol and rel_series <= tol and not grid_warning),
         grid_warning=grid_warning,
     )

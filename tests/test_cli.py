@@ -222,14 +222,18 @@ def test_oracle_zero_strength_columns_collapse(run_cli):
 
 
 def test_oracle_tolerance_failure_exits_two(run_cli):
-    # order 1 truncation error is far above the grid tolerance
-    proc = run_cli(
-        "oracle", "--model", "well", "--n", "1", "--alpha", "0.45",
-        "--grid", "500", "--order", "1", expect=2,
-    )
-    assert "exceeds tolerance" in proc.stderr
-    header, rows = parse_csv(proc.stdout)  # report still emitted, marked FAIL
-    assert rows[0][-1] == "FAIL"
+    # order 1 truncation error is far above the grid tolerance; at --grid 3 the
+    # bare level is off by 222%, which the h**2-scaled tolerance alone would pass
+    for args, message in [
+        (("--model", "well", "--n", "1", "--alpha", "0.45", "--grid", "500", "--order", "1"),
+         "exceeds tolerance"),
+        (("--model", "oscillator", "--n", "2", "--alpha", "0.1", "--grid", "3"),
+         "grid level off by 222.51%"),
+    ]:
+        proc = run_cli("oracle", *args, expect=2)
+        assert message in proc.stderr
+        header, rows = parse_csv(proc.stdout)  # report still emitted, marked FAIL
+        assert rows[0][-1] == "FAIL"
 
 
 def test_oracle_rejects_hydrogen(run_cli):
@@ -245,9 +249,23 @@ def test_usage_errors_exit_one(run_cli):
     run_cli("levels", "--n", "1", "--samples", "1", expect=1)
     run_cli("series", "--e0", "1", "--w", "1", "--alpha", "0.1",
             "--precision", "16", expect=1)
-    proc = run_cli("oracle", "--model", "well", "--n", "1", "--alpha", "0.1",
-                   "--grid", "100", "--x-max", "1e200", expect=1)
-    assert "Error:" in proc.stderr and "Traceback" not in proc.stderr
+    # extreme boxes, and an eigenpair that fails its branch check, exit 1
+    well = ("oracle", "--model", "well", "--n", "1", "--alpha", "0.1", "--grid", "100")
+    oscillator = ("oracle", "--model", "oscillator", "--n", "1", "--alpha", "0.1")
+    for args in [
+        (*well, "--x-max", "1e200"),
+        (*well, "--x-max", "1e100"),
+        (*well, "--x-max", "1e-100"),
+        (*oscillator, "--grid", "100", "--x-max", "1e100"),
+        (*oscillator, "--grid", "1000", "--x-min", "-1e155", "--x-max", "1e155"),
+        (*oscillator, "--grid", "100", "--x-min", "2e77", "--x-max", "3e77"),
+        ("oracle", "--model", "oscillator", "--n", "1", "--alpha", "0.5",
+         "--grid", "100", "--x-min", "-1e30", "--x-max", "1e30"),
+    ]:
+        proc = run_cli(*args, expect=1)
+        assert "Error:" in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert "box [" in proc.stderr or "branch matching failed" in proc.stderr
     # order and sample counts are bounded
     for args in [
         ("series", "--e0", "1", "--w", "1", "--alpha", "0.1", "--max-order", "100001"),

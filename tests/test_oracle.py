@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from quatpert.oracle import (
     MAX_DENSE_SIZE,
     DiscreteHamiltonian,
     Grid1D,
+    OracleError,
+    _all_eigenvalues,
     compare_tolerance,
     default_grid,
     discretize,
     embed,
     oracle_compare,
-    spectrum,
 )
 from quatpert.quaternions import embed_block
 from quatpert.series import RadiusError
@@ -33,11 +35,19 @@ def test_grid_validation():
         Grid1D(0.0, 0.0, 100)
     with pytest.raises(ValueError):
         Grid1D(0.0, 1.0, 2)
-    # edges must be finite, and so must 1/h**2 and h**2
+    # edges must be finite, and 1/h**4 a finite normal double
     for x_min, x_max in [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
                          (-1e308, 1e308), (0.0, 1e200), (0.0, 1e-300)]:
         with pytest.raises(ValueError):
             Grid1D(x_min, x_max, 100)
+    for x_max in (1e100, 1e-100):
+        with pytest.raises(ValueError, match=re.escape(f"box [0, {x_max:g}]")):
+            Grid1D(0.0, x_max, 100)
+    # the squared oscillator diagonal 2/h**2 + x**2 must stay finite
+    with pytest.raises(ValueError, match=r"box \[2e\+77, 3e\+77\]"):
+        discretize(OSC, Grid1D(2e77, 3e77, 100))
+    for x_max in (1e60, 1e-60):
+        assert oracle_compare(WELL, 1, 0.1, Grid1D(0.0, x_max, 100)).passed
     grid = Grid1D(0.0, 1.0, 9)
     assert grid.h == 0.1
     assert grid.points()[0] == pytest.approx(0.1)
@@ -46,7 +56,7 @@ def test_grid_validation():
 
 def test_well_discretization_reaches_pi_squared():
     ham = discretize(WELL, Grid1D(0.0, 1.0, 2000))
-    lowest = ham.eigenvalues(0, 1)
+    lowest = [ham.eigenpair(i)[0] for i in (0, 1)]
     assert lowest[0] == pytest.approx(math.pi**2, rel=1e-3)
     assert lowest[1] / lowest[0] == pytest.approx(4.0, rel=1e-3)
     assert ham.level_scale == pytest.approx(math.pi**2)
@@ -54,7 +64,7 @@ def test_well_discretization_reaches_pi_squared():
 
 def test_oscillator_discretization_reaches_half_quantum():
     ham = discretize(OSC, default_grid(OSC, 1500))
-    lowest = float(ham.eigenvalues(0, 0)[0])
+    lowest = ham.eigenpair(0)[0]
     assert lowest / ham.level_scale == pytest.approx(0.5, rel=1e-3)
 
 
@@ -95,16 +105,16 @@ def test_embedding_is_hermitian_exactly():
 def test_single_site_pair():
     # one level E0 with coupling w: the 2x2 block has eigenvalues
     # +/- sqrt(E0^2 + w^2), solvable by hand
-    op = embed(toy_hamiltonian(1.0), 1.0, 1.0)
-    assert spectrum(op, 2) == pytest.approx([-math.sqrt(2.0), math.sqrt(2.0)])
-    dense_eigs = np.linalg.eigvalsh(op.to_dense())
-    assert dense_eigs == pytest.approx([-math.sqrt(2.0), math.sqrt(2.0)])
+    for e0, w, top in [(1.0, 1.0, math.sqrt(2.0)), (2.0, 1.5, 2.5)]:
+        op = embed(toy_hamiltonian(e0), 1.0, w)
+        assert _all_eigenvalues(op) == pytest.approx([-top, top])
+        assert np.linalg.eigvalsh(op.to_dense()) == pytest.approx([-top, top])
 
 
 def test_trivial_diagonal_spectrum():
     op = embed(toy_hamiltonian(1.0), 0.0, 0.0)
     np.testing.assert_array_equal(op.to_dense(), np.diag([1.0 + 0j, -1.0 + 0j]))
-    assert spectrum(op, 2) == pytest.approx([-1.0, 1.0])
+    assert _all_eigenvalues(op) == pytest.approx([-1.0, 1.0])
 
 
 def test_single_site_matches_quaternion_embedding():
@@ -116,31 +126,15 @@ def test_single_site_matches_quaternion_embedding():
 
 
 def test_spectrum_against_dense_reference():
-    rng = np.random.default_rng(32)
     ham = discretize(WELL, Grid1D(0.0, 1.0, 40))
-    alpha, w = 0.3, cmath.exp(0.7j) * 2.0
-    op = embed(ham, alpha, w)
+    op = embed(ham, 0.3, cmath.exp(0.7j) * 2.0)
     dense = np.linalg.eigvalsh(op.to_dense())
-    got = spectrum(op, 10)
-    reference = sorted(dense, key=abs)[:10]
-    assert got == pytest.approx(sorted(reference), rel=1e-10)
-
-
-def test_spectrum_with_explicit_reference():
-    op = embed(toy_hamiltonian(2.0), 1.0, 1.5)
-    top = spectrum(op, 1, reference=[3.0])
-    assert top == pytest.approx([2.5])
-    with pytest.raises(ValueError):
-        spectrum(op, 3)
-    with pytest.raises(ValueError):
-        spectrum(op, 1, reference=[1.0, 2.0])
+    assert _all_eigenvalues(op) == pytest.approx(dense, rel=1e-10)
 
 
 def test_plus_minus_pairing():
     ham = discretize(OSC, Grid1D(-7.0, 7.0, 301))
     op = embed(ham, 0.4, 1.0 * ham.level_scale)
-    from quatpert.oracle import _all_eigenvalues
-
     eigs = np.sort(_all_eigenvalues(op))
     folded = -eigs[::-1]
     assert np.max(np.abs(eigs - folded) / np.abs(eigs)) < 1e-10
@@ -148,8 +142,6 @@ def test_plus_minus_pairing():
 
 def test_spectrum_invariances():
     ham = discretize(WELL, Grid1D(0.0, 1.0, 301))
-    from quatpert.oracle import _all_eigenvalues
-
     w = 2.0 * ham.level_scale
     base = np.sort(_all_eigenvalues(embed(ham, 0.2, w)))
     flipped = np.sort(_all_eigenvalues(embed(ham, -0.2, w)))
@@ -215,6 +207,7 @@ def test_grid_warning_on_coarse_grid():
     report = oracle_compare(WELL, 2, 0.1, Grid1D(0.0, 1.0, 12), 10)
     assert report.grid_warning
     assert report.rel_grid_error > 0.005
+    assert not report.passed  # a pass means the bare level is within 0.5%
 
 
 def test_apply_matches_dense_matvec():
@@ -229,17 +222,39 @@ def test_apply_matches_dense_matvec():
 
 
 def test_size_guard(monkeypatch):
-    assert MAX_DENSE_SIZE == 4096
-    ham = discretize(WELL, Grid1D(0.0, 1.0, 2048))
-    spectrum(embed(ham, 0.0, 0.0), 1)  # 2N = 4096 still admitted
-    ham = discretize(WELL, Grid1D(0.0, 1.0, 2049))
-    with pytest.raises(ValueError):
-        spectrum(embed(ham, 0.0, 0.0), 1)
-
     # oracle_compare refuses an oversized grid before any work on it
-    def no_discretize(*args):
-        raise AssertionError("discretized before the size check")
+    class Discretized(Exception):
+        pass
 
-    monkeypatch.setattr(oracle_mod, "discretize", no_discretize)
+    def sentinel(*args):
+        raise Discretized
+
+    monkeypatch.setattr(oracle_mod, "discretize", sentinel)
+    assert MAX_DENSE_SIZE == 4096
+    with pytest.raises(Discretized):
+        oracle_compare(WELL, 1, 0.1, Grid1D(0.0, 1.0, 2048))  # 2N = 4096 admitted
     with pytest.raises(ValueError, match="dense eigensolve limited"):
         oracle_compare(WELL, 1, 0.1, Grid1D(0.0, 1.0, 2049))
+
+
+def test_residual_certification_rejects_a_poor_eigenvector(monkeypatch):
+    inverse_iteration = oracle_mod._eigenvector
+    rng = np.random.default_rng(35)
+
+    def perturbed(op, eigenvalue):
+        v1, v2 = inverse_iteration(op, eigenvalue)
+        v1 = v1 + 1e-3 * rng.standard_normal(v1.size)
+        norm = math.hypot(np.linalg.norm(v1), np.linalg.norm(v2))
+        return v1 / norm, v2 / norm
+
+    monkeypatch.setattr(oracle_mod, "_eigenvector", perturbed)
+    with pytest.raises(OracleError, match="eigenpair residual exceeds"):
+        oracle_compare(WELL, 1, 0.2, Grid1D(0.0, 1.0, 200))
+
+
+def test_branch_matching_rejects_the_wrong_level(monkeypatch):
+    eigenpair = DiscreteHamiltonian.eigenpair
+    monkeypatch.setattr(DiscreteHamiltonian, "eigenpair",
+                        lambda self, index: eigenpair(self, index + 1))
+    with pytest.raises(OracleError, match="branch matching failed"):
+        oracle_compare(WELL, 1, 0.2, Grid1D(0.0, 1.0, 200))
