@@ -71,7 +71,7 @@ _ORACLE_EXPORTS = {
     "EmbeddedOperator",
     "OracleError",
     "OracleReport",
-    "MAX_DENSE_SIZE",
+    "MAX_EMBEDDED_SIZE",
     "compare_tolerance",
     "default_grid",
     "discretize",

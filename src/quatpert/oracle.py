@@ -13,15 +13,17 @@ hbar**2/2m = 1), for the infinite well (V = 0 on a box of width L, levels
 n**2 pi**2 / L**2) and the harmonic oscillator (V = x**2, levels 2n + 1,
 i.e. E_omega = 2 in grid units).
 
-`oracle_compare` takes one eigenpair of the embedding, on one route: the
-eigenvalue at the level's sorted position on the positive branch of the
-full spectrum of the Hermitian band matrix (`scipy.linalg.eig_banded` on
-the pentadiagonal band that interleaving the two components gives), and
-its eigenvector from shifted inverse iteration with a banded solve.  The
-pair is certified by its residual, ||B v - lambda v|| <= 1e-8 ||B||, and
-its branch by the overlap of the first block with the unperturbed
-eigenvector of H.  Calls are independent and hold no shared state; sweeps
-may run per-strength in parallel.
+`oracle_compare` takes one eigenpair of the embedding without computing
+the rest of its spectrum.  In the interleaved (phi1_i, phi2_i) order the
+embedding is a pentadiagonal Hermitian band.  Shifted inverse iteration
+with a banded solve, started at the value the bare level predicts,
+converges to an eigenvector; the reported eigenvalue is its Rayleigh
+quotient, so the prediction never enters the result.  The pair is
+certified three ways: its residual, ||B v - lambda v|| <= 1e-8 times the
+largest column norm of B (a lower bound on ||B||); its sorted position in
+the spectrum, from Sylvester inertia counts on either side of lambda; and
+its branch, from the overlap of the first block with the unperturbed
+eigenvector of H.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ import scipy.linalg as sla
 from .models import LevelSpec, ModelKind, alpha_max, perturbation_spec
 from .series import RadiusError, closed_form_limit, perturbed_energy
 
-MAX_DENSE_SIZE = 4096  # refuse larger dense eigenproblems rather than degrade
+MAX_EMBEDDED_SIZE = 131072  # 2N; bounds the O(N) memory of the band solve
 
 _REFERENCE_GRID_POINTS = 2000
 _TOLERANCE_AT_REFERENCE = 1e-4  # relative, at N = 2000; scales with h**2
 _GRID_WARNING_REL = 0.005
 _RESIDUAL_REL = 1e-8
+_WINDOW_REL = 1e-12  # least inertia-window half-width; counts round at a few ulps
 
 
 class OracleError(ValueError):
@@ -223,6 +226,7 @@ def embed(h: DiscreteHamiltonian, alpha: float, w: complex) -> EmbeddedOperator:
 
 
 def _all_eigenvalues(op: EmbeddedOperator) -> np.ndarray:
+    """The full sorted spectrum, O(N**2); a reference, not on the oracle route."""
     try:
         return sla.eig_banded(op._band(), lower=False, eigvals_only=True, select="a")
     except np.linalg.LinAlgError as exc:
@@ -262,18 +266,84 @@ def _residual(op: EmbeddedOperator, eigenvalue: float,
     return r
 
 
-def _certified_eigenpair(op: EmbeddedOperator,
-                         index: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Eigenvalue at sorted position `index` of the embedding, with its
-    eigenvector (v1, v2) checked to ||B v - lam v|| <= 1e-8 ||B||."""
-    eigs = _all_eigenvalues(op)
-    lam = float(eigs[index])
-    v1, v2 = _eigenvector(op, lam)
-    if _residual(op, lam, v1, v2) > _RESIDUAL_REL * float(np.abs(eigs).max()):
+def _column_norm(op: EmbeddedOperator) -> float:
+    """Largest column 2-norm of B, a lower bound on ||B||.
+
+    Column i of either block holds the diagonal entry d_i, the coupling and
+    one off-diagonal entry per neighbour (the end columns have one).
+    """
+    h = op.hamiltonian
+    scale = max(float(np.abs(h.diagonal).max()), abs(h.off_diagonal), abs(op.coupling)) or 1.0
+    o2 = (h.off_diagonal / scale) ** 2
+    squares = (h.diagonal / scale) ** 2 + 2.0 * o2
+    squares[0] -= o2
+    squares[-1] -= o2
+    return scale * math.sqrt(float(squares.max()) + (abs(op.coupling) / scale) ** 2)
+
+
+def _count_below(op: EmbeddedOperator, sigma: float) -> int:
+    """Number of eigenvalues of the embedding below `sigma`, in O(N).
+
+    Sylvester's law of inertia on the block LDL^T of B - sigma*I in the
+    interleaved order: the 2x2 pivots are S_0 = D_0 - sigma and
+    S_{k+1} = D_{k+1} - sigma - E S_k^{-1} E with E = diag(o, -o), and the
+    count is the number of negative eigenvalues summed over the pivots.
+    A pivot [[a, i*conj(c)*t], [-i*c*t, b]] is carried as the reals
+    (a, b, beta = |c|*t), in units of the largest entry so that the
+    products stay in range.  An exactly singular pivot means sigma is an
+    eigenvalue of a leading block; the count then restarts 2**-50 of that
+    unit lower, so an eigenvalue at sigma itself is not counted.
+    """
+    h = op.hamiltonian
+    diagonal = h.diagonal.tolist()
+    scale = max(max(map(abs, diagonal)), abs(h.off_diagonal), abs(op.coupling),
+                abs(sigma)) or 1.0
+    diagonal = [d / scale for d in diagonal]
+    o2 = (h.off_diagonal / scale) ** 2
+    c = abs(op.coupling) / scale
+    s = sigma / scale
+    while True:
+        count, a, b, beta, det = 0, 0.0, 0.0, 0.0, 1.0
+        for d in diagonal:
+            r = o2 / det
+            a, b, beta = d - s - r * b, -d - s - r * a, c - r * beta
+            det = a * b - beta * beta
+            if det == 0.0:
+                break
+            count += 1 if det < 0.0 else 2 if a < 0.0 else 0
+        else:
+            return count
+        s -= 2.0**-50
+
+
+def _certified_eigenpair(op: EmbeddedOperator, index: int,
+                         shift: float) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Eigenpair at sorted position `index` of the embedding, found from `shift`.
+
+    Returns (lam, v1, v2, residual): lam is the Rayleigh quotient of the
+    unit inverse-iteration vector (v1, v2), and residual is ||B v - lam v||
+    relative to the largest column norm of B, at most 1e-8.  Some
+    eigenvalue lies within the absolute residual of lam; two inertia counts
+    then show that exactly one eigenvalue, the one at `index`, lies within
+    max(||B v - lam v||, 1e-12 * norm) of lam.
+    """
+    v1, v2 = _eigenvector(op, shift)
+    y1, y2 = op.apply(v1, v2)
+    lam = float(np.vdot(v1, y1).real + np.vdot(v2, y2).real)
+    norm = _column_norm(op)
+    residual = _residual(op, lam, v1, v2)
+    if residual > _RESIDUAL_REL * norm:
         raise OracleError(
             f"eigenpair residual exceeds {_RESIDUAL_REL:g} * ||B|| at {lam:.6g}"
         )
-    return lam, v1, v2
+    delta = max(residual, _WINDOW_REL * norm)
+    below, through = _count_below(op, lam - delta), _count_below(op, lam + delta)
+    if (below, through) != (index, index + 1):
+        raise OracleError(
+            f"branch matching failed: {through - below} eigenvalue(s) within "
+            f"{delta:.3g} of {lam:.6g} from sorted position {below}; expected one, at {index}"
+        )
+    return lam, v1, v2, residual / norm
 
 
 def compare_tolerance(n_points: int) -> float:
@@ -288,7 +358,12 @@ def compare_tolerance(n_points: int) -> float:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Side-by-side values for one (model, n, alpha), all in model units."""
+    """Side-by-side values for one (model, n, alpha), all in model units.
+
+    `residual` is the embedded eigenpair's ||B v - lambda v|| relative to
+    the largest column norm of B, and `overlap` the branch overlap of its
+    first block with the bare level's eigenvector.
+    """
 
     model: ModelKind
     n: int
@@ -306,6 +381,8 @@ class OracleReport:
     tolerance: float
     passed: bool
     grid_warning: bool
+    residual: float
+    overlap: float
 
 
 def default_grid(model: ModelKind, n_points: int = 2000) -> Grid1D:
@@ -328,10 +405,10 @@ def oracle_compare(
     """Compare the truncated series and its closed form against the embedding.
 
     The embedded eigenvalue is the member of the +/- pair continuous from
-    the unperturbed level at alpha = 0 (same ordering on the positive
-    branch, confirmed by the overlap of its first block with the
-    unperturbed eigenvector).  Rejects strengths outside the level radius
-    and embedded sizes above MAX_DENSE_SIZE.  Warns, and does not pass,
+    the unperturbed level at alpha = 0 (same sorted position on the
+    positive branch, certified by an inertia count and confirmed by the
+    overlap of its first block with the unperturbed eigenvector).  Rejects strengths outside the level radius
+    and embedded sizes above MAX_EMBEDDED_SIZE.  Warns, and does not pass,
     when the bare grid level is off its analytic value by > 0.5%.
     """
     model = ModelKind(model)
@@ -341,9 +418,10 @@ def oracle_compare(
             f"alpha={alpha:.6g} outside the {model.value} n={n} radius "
             f"{alpha_max(model, n):.6g}"
         )
-    if 2 * grid.n_points > MAX_DENSE_SIZE:  # before any O(N) work on the grid
+    if 2 * grid.n_points > MAX_EMBEDDED_SIZE:  # before any O(N) work on the grid
         raise ValueError(
-            f"dense eigensolve limited to {MAX_DENSE_SIZE}; got size {2 * grid.n_points}"
+            f"embedded eigensolve limited to size {MAX_EMBEDDED_SIZE}; "
+            f"got size {2 * grid.n_points}"
         )
     spec = perturbation_spec(level, alpha)
     ham = discretize(model, grid)
@@ -359,7 +437,10 @@ def oracle_compare(
     closed = closed_form_limit(spec)
 
     op = embed(ham, alpha, spec.w * ham.level_scale)
-    lam, v1, v2 = _certified_eigenpair(op, ham.size + m)  # positive branch, ordering preserved
+    # positive branch, ordering preserved; the predicted level is only the shift
+    lam, v1, v2, residual = _certified_eigenpair(
+        op, ham.size + m, math.hypot(e0_grid, abs(op.coupling))
+    )
     overlap = abs(np.vdot(u_vec, v1)) / (np.linalg.norm(u_vec) * np.linalg.norm(v1))
     if overlap < 0.99 or np.linalg.norm(v1) <= np.linalg.norm(v2):
         raise OracleError(
@@ -387,4 +468,6 @@ def oracle_compare(
         tolerance=tol,
         passed=bool(rel_closed <= tol and rel_series <= tol and not grid_warning),
         grid_warning=grid_warning,
+        residual=residual,
+        overlap=float(overlap),
     )

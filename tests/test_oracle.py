@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 import quatpert.oracle as oracle_mod
-from quatpert.models import ModelKind
+from quatpert.models import LevelSpec, ModelKind, alpha_max, perturbation_spec
 from quatpert.oracle import (
-    MAX_DENSE_SIZE,
+    MAX_EMBEDDED_SIZE,
     DiscreteHamiltonian,
     Grid1D,
     OracleError,
     _all_eigenvalues,
+    _column_norm,
+    _count_below,
     compare_tolerance,
     default_grid,
     discretize,
@@ -198,7 +200,7 @@ def test_oracle_compare_rejections():
     with pytest.raises(ValueError):
         oracle_compare(ModelKind.HYDROGEN, 1, 0.1, grid, 10)
     with pytest.raises(ValueError):
-        oracle_compare(WELL, 1, 0.1, Grid1D(0.0, 1.0, 2100), 10)  # 2N > 4096
+        oracle_compare(WELL, 1, 0.1, Grid1D(0.0, 1.0, 65537), 10)  # 2N > 131072
     with pytest.raises(ValueError):
         discretize(WELL, Grid1D(0.0, 1.0, 5)).level_index(7)
 
@@ -230,11 +232,11 @@ def test_size_guard(monkeypatch):
         raise Discretized
 
     monkeypatch.setattr(oracle_mod, "discretize", sentinel)
-    assert MAX_DENSE_SIZE == 4096
+    assert MAX_EMBEDDED_SIZE == 131072
     with pytest.raises(Discretized):
-        oracle_compare(WELL, 1, 0.1, Grid1D(0.0, 1.0, 2048))  # 2N = 4096 admitted
-    with pytest.raises(ValueError, match="dense eigensolve limited"):
-        oracle_compare(WELL, 1, 0.1, Grid1D(0.0, 1.0, 2049))
+        oracle_compare(WELL, 1, 0.1, Grid1D(0.0, 1.0, 65536))  # 2N = 131072 admitted
+    with pytest.raises(ValueError, match="embedded eigensolve limited"):
+        oracle_compare(WELL, 1, 0.1, Grid1D(0.0, 1.0, 65537))
 
 
 def test_residual_certification_rejects_a_poor_eigenvector(monkeypatch):
@@ -258,3 +260,61 @@ def test_branch_matching_rejects_the_wrong_level(monkeypatch):
                         lambda self, index: eigenpair(self, index + 1))
     with pytest.raises(OracleError, match="branch matching failed"):
         oracle_compare(WELL, 1, 0.2, Grid1D(0.0, 1.0, 200))
+
+
+def test_inertia_count_matches_the_full_spectrum():
+    rng = np.random.default_rng(36)
+    ops = [embed(toy_hamiltonian(e0), 1.0, w) for e0, w in [(1.0, 1.0), (2.0, 1.5), (-0.5, 0.3j)]]
+    for model in (WELL, OSC):
+        ham = discretize(model, default_grid(model, 301))
+        ops += [embed(ham, alpha, cmath.exp(0.4j) * ham.level_scale) for alpha in (0.0, 0.3, 2.0)]
+    for op in ops:
+        eigs = np.sort(_all_eigenvalues(op))
+        span = 1.1 * max(abs(eigs[0]), abs(eigs[-1]))
+        for sigma in rng.uniform(-span, span, 40):
+            assert _count_below(op, sigma) == np.searchsorted(eigs, sigma)
+
+
+def test_inertia_count_on_an_exact_eigenvalue():
+    # a zero pivot is stepped round, not divided by: an eigenvalue at sigma
+    # itself is not counted
+    op = embed(toy_hamiltonian(1.0), 0.0, 0.0)  # spectrum -1, 1
+    assert [_count_below(op, s) for s in (-1.0, 1.0, 0.0, 2.0)] == [0, 1, 1, 2]
+    two_sites = DiscreteHamiltonian(diagonal=np.array([1.0, 2.0]), off_diagonal=0.0)
+    op = embed(two_sites, 0.0, 0.0)  # spectrum -2, -1, 1, 2
+    assert [_count_below(op, s) for s in (-2.0, -1.0, 1.0, 2.0)] == [0, 1, 2, 3]
+
+
+def test_column_norm_is_a_lower_bound_on_the_norm():
+    for model in (WELL, OSC):
+        ham = discretize(model, default_grid(model, 40))
+        op = embed(ham, 0.7, 1.1 - 0.2j)
+        dense = op.to_dense()
+        assert _column_norm(op) == pytest.approx(np.linalg.norm(dense, axis=0).max(), rel=1e-14)
+        assert _column_norm(op) <= np.abs(np.linalg.eigvalsh(dense)).max()
+
+
+def test_targeted_eigenvalue_matches_the_full_spectrum():
+    # the 33 criterion-6 cases, at N = 500
+    cases = [(WELL, n) for n in range(1, 6)] + [(OSC, n) for n in range(0, 6)]
+    for model, n in cases:
+        for fraction in (0.1, 0.5, 0.9):
+            alpha = fraction * alpha_max(model, n)
+            grid = default_grid(model, 500)
+            ham = discretize(model, grid)
+            op = embed(ham, alpha, perturbation_spec(LevelSpec(model, n), alpha).w * ham.level_scale)
+            report = oracle_compare(model, n, alpha, grid)
+            index = ham.size + ham.level_index(n)
+            reference = _all_eigenvalues(op)[index] / ham.level_scale
+            assert report.oracle_value == pytest.approx(reference, rel=1e-9)
+
+
+def test_oracle_compare_never_computes_the_full_spectrum(monkeypatch):
+    def sentinel(op):
+        raise AssertionError("full spectrum computed")
+
+    monkeypatch.setattr(oracle_mod, "_all_eigenvalues", sentinel)
+    report = oracle_compare(WELL, 1, 0.2, Grid1D(0.0, 1.0, 200))
+    assert report.passed
+    assert 0.0 <= report.residual <= 1e-8
+    assert report.overlap >= 0.99
