@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .models import LevelSpec, ModelKind, alpha_max, perturbation_spec
 from .series import RadiusError, closed_form_limit, perturbed_energy
@@ -66,13 +67,15 @@ class Grid1D:
             raise ValueError("x_max must exceed x_min")
         if self.n_points < 3:
             raise ValueError("n_points must be >= 3")
-        # the eigensolvers square the stencil entries ~1/h**2
+        # the eigensolvers square the stencil entries; 4/h**2 bounds them (Gershgorin)
         h2 = self.h * self.h
         h4 = h2 * h2
-        if not (h4 > 0.0 and sys.float_info.min <= 1.0 / h4 < math.inf):
+        if not (h4 > 0.0 and sys.float_info.min <= 1.0 / h4
+                and (4.0 / h2) * (4.0 / h2) < math.inf):
             raise ValueError(
                 f"box [{self.x_min:.6g}, {self.x_max:.6g}] at N = {self.n_points}: "
-                f"grid spacing {self.h:.6g} leaves 1/h**4 outside the normal double range"
+                f"grid spacing {self.h:.6g} leaves (4/h**2)**2 or 1/h**4 "
+                "outside the normal double range"
             )
 
     @property
@@ -153,11 +156,11 @@ def discretize(model: ModelKind, grid: Grid1D) -> DiscreteHamiltonian:
         )
     if model is ModelKind.OSCILLATOR:
         edge = max(abs(grid.x_min), abs(grid.x_max))
-        peak = 2.0 / h**2 + edge * edge
-        if not math.isfinite(peak * peak):
+        bound = 4.0 / h**2 + edge * edge  # Gershgorin bound on the stencil rows
+        if not math.isfinite(bound * bound):
             raise ValueError(
-                f"box [{grid.x_min:.6g}, {grid.x_max:.6g}]: the oscillator diagonal "
-                "2/h**2 + x**2 leaves double range when squared"
+                f"box [{grid.x_min:.6g}, {grid.x_max:.6g}]: the oscillator stencil "
+                "bound 4/h**2 + x**2 leaves double range when squared"
             )
         x = grid.points()
         diag = 2.0 / h**2 + x**2
@@ -234,25 +237,38 @@ def _all_eigenvalues(op: EmbeddedOperator) -> np.ndarray:
 
 
 def _eigenvector(op: EmbeddedOperator, eigenvalue: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted inverse iteration; returns the block components (v1, v2)."""
+    """Shifted inverse iteration; returns the block components (v1, v2).
+
+    The shifted band is LU-factored once (LAPACK gbtrf, which needs two
+    rows of room above the band for the fill-in) and each of the three
+    steps is one gbtrs solve against that factorization.
+    """
     n2 = op.size
     band = op._band()
-    ab = np.zeros((5, n2), dtype=complex)  # full band: two rows each side
-    ab[2, :] = band[2, :] - eigenvalue
+    ab = np.zeros((7, n2), dtype=complex)  # fill-in rows, then two rows each side
+    ab[4, :] = band[2, :] - eigenvalue
     for k in (1, 2):
-        ab[2 - k, k:] = band[2 - k, k:]
-        ab[2 + k, :-k] = np.conj(band[2 - k, k:])
+        ab[4 - k, k:] = band[2 - k, k:]
+        ab[4 + k, :-k] = np.conj(band[2 - k, k:])
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    lu, piv, info = gbtrf(ab, 2, 2)
+    if info > 0:
+        # exactly singular shift: nudge by one part in 1e13
+        ab[4, :] -= abs(eigenvalue) * 1e-13 + 1e-300
+        lu, piv, info = gbtrf(ab, 2, 2)
+    if info != 0:
+        raise OracleError(f"banded LU factorization failed at shift {eigenvalue:.6g}")
     rng = np.random.default_rng(8128)
     v = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
     v /= np.linalg.norm(v)
     for _ in range(3):
-        try:
-            v = sla.solve_banded((2, 2), ab, v)
-        except np.linalg.LinAlgError:
-            # exactly singular shift: nudge by one part in 1e13
-            ab[2, :] -= abs(eigenvalue) * 1e-13 + 1e-300
-            v = sla.solve_banded((2, 2), ab, v)
-        v /= np.linalg.norm(v)
+        v = gbtrs(lu, 2, 2, v, piv)[0]
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(v)
+        if not math.isfinite(norm):  # entries past ~1e154 overflow the sum of squares
+            v /= np.abs(v).max()
+            norm = np.linalg.norm(v)
+        v /= norm
     return v[0::2], v[1::2]
 
 

@@ -7,14 +7,19 @@ with i**2 = j**2 = k**2 = ijk = -1.  The complex-pair form writes
 
 a convention chosen so that the 2x2 complex image of a quaternion matches
 the block structure used by the spectral oracle without extra conjugations.
+
+The arithmetic is pure Python.  numpy is imported only by `embed_block`
+(and so `embed_quaternion`), so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,8 @@ def embed_block(z1: complex, z2: complex) -> np.ndarray:
     The map is an algebra homomorphism: the matrix product of two images
     equals the image of the Hamilton product.
     """
+    import numpy as np  # deferred: the rest of the package runs without numpy
+
     return np.array(
         [[z1, -np.conj(z2)], [z2, np.conj(z1)]],
         dtype=complex,

@@ -256,6 +256,7 @@ def test_usage_errors_exit_one(run_cli):
         (*well, "--x-max", "1e200"),
         (*well, "--x-max", "1e100"),
         (*well, "--x-max", "1e-100"),
+        (*well, "--x-max", "1.01e-75"),  # (4/h**2)**2 overflows
         (*oscillator, "--grid", "100", "--x-max", "1e100"),
         (*oscillator, "--grid", "1000", "--x-min", "-1e155", "--x-max", "1e155"),
         (*oscillator, "--grid", "100", "--x-min", "2e77", "--x-max", "3e77"),
@@ -266,6 +267,8 @@ def test_usage_errors_exit_one(run_cli):
         assert "Error:" in proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert "box [" in proc.stderr or "branch matching failed" in proc.stderr
+    for x_max in ("1e-74", "1e60", "1e-60"):
+        assert run_cli(*well, "--x-max", x_max, expect=0).stdout.endswith(",PASS\n")
     # order and sample counts are bounded
     for args in [
         ("series", "--e0", "1", "--w", "1", "--alpha", "0.1", "--max-order", "100001"),
@@ -328,26 +331,62 @@ def test_help_lists_output_options_after_own_options(run_cli):
         assert options[-4:] == ["--format", "--out", "--precision", "--help"], text
 
 
+def run_python(script):
+    """Run `script` in a fresh interpreter that imports this checkout's quatpert."""
+    src = os.path.dirname(os.path.dirname(quatpert.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
 def test_public_names_resolve_and_scipy_loads_with_the_oracle():
     script = """
 import sys
 import quatpert
+assert "numpy" not in sys.modules, "numpy loaded by import quatpert"
 oracle_names = quatpert._ORACLE_EXPORTS
 for name in quatpert.__all__:
     if name not in oracle_names:
         getattr(quatpert, name)
+assert "numpy" not in sys.modules, "numpy loaded before embed_block or an oracle name ran"
 assert "scipy" not in sys.modules, "scipy loaded before an oracle name was touched"
+q = quatpert.qmul(quatpert.I, quatpert.J) + quatpert.Quaternion(1.0, 2.0, 3.0, 4.0) * quatpert.K
+assert q == quatpert.Quaternion(-4.0, 3.0, -2.0, 2.0)
+pair = quatpert.to_symplectic(q)
+assert quatpert.from_symplectic(pair) == q and q.conjugate().norm() == q.norm()
+assert "numpy" not in sys.modules, "quaternion arithmetic loaded numpy"
+quatpert.embed_block(1j, 0.5)
+assert "numpy" in sys.modules and "scipy" not in sys.modules
 for name in quatpert.__all__:
     getattr(quatpert, name)
 assert "scipy" in sys.modules
 assert len(set(quatpert.__all__)) == len(quatpert.__all__)
 assert oracle_names <= set(quatpert.__all__)
 """
-    src = os.path.dirname(os.path.dirname(quatpert.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
+    # an oracle name alone, without embed_block, loads numpy too
+    proc = run_python("import sys, quatpert; quatpert.Grid1D; assert 'numpy' in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_data_commands_load_neither_numpy_nor_scipy(tmp_path):
+    script = f"""
+import sys
+from quatpert.cli import main
+for argv in [
+    ["series", "--e0", "-13.6", "--w", "0.15", "--alpha", "1.0", "--max-order", "20"],
+    ["sigma", "--model", "well", "--n", "1", "--alpha", "0.3", "--max-order", "30"],
+    ["levels", "--n", "1", "--n", "2", "--samples", "100", "--out", {str(tmp_path / "levels.csv")!r}],
+    ["hydrogen-table", "--alphaw", "0.15", "--n-max", "5"],
+]:
+    assert main(argv) == 0, argv
+loaded = sorted({{name.split(".")[0] for name in sys.modules}} & {{"numpy", "scipy"}})
+assert not loaded, loaded
+"""
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "levels.csv").read_text().startswith("n,alphaW_eV,")

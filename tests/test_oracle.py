@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import quatpert.oracle as oracle_mod
 from quatpert.models import LevelSpec, ModelKind, alpha_max, perturbation_spec
@@ -45,10 +46,17 @@ def test_grid_validation():
     for x_max in (1e100, 1e-100):
         with pytest.raises(ValueError, match=re.escape(f"box [0, {x_max:g}]")):
             Grid1D(0.0, x_max, 100)
-    # the squared oscillator diagonal 2/h**2 + x**2 must stay finite
+    # LAPACK squares the stencil, so the Gershgorin bound 4/h**2 must square
+    # to a finite double: at 1/h**4 = 1e308 the grid level came out 2067
+    # (N = 100) and 203048 (N = 1000) times its analytic value
+    for x_max, n_points in [(1.01e-75, 100), (1.001e-74, 1000)]:
+        with pytest.raises(ValueError, match=re.escape(f"box [0, {x_max:g}]")):
+            Grid1D(0.0, x_max, n_points)
+    # the squared oscillator bound 4/h**2 + x**2 must stay finite
     with pytest.raises(ValueError, match=r"box \[2e\+77, 3e\+77\]"):
         discretize(OSC, Grid1D(2e77, 3e77, 100))
-    for x_max in (1e60, 1e-60):
+    # at 1e76 the inverse-iteration vector outgrows the sum of squares in its norm
+    for x_max in (1e60, 1e-60, 1e-74, 1e76):
         assert oracle_compare(WELL, 1, 0.1, Grid1D(0.0, x_max, 100)).passed
     grid = Grid1D(0.0, 1.0, 9)
     assert grid.h == 0.1
@@ -318,3 +326,58 @@ def test_oracle_compare_never_computes_the_full_spectrum(monkeypatch):
     assert report.passed
     assert 0.0 <= report.residual <= 1e-8
     assert report.overlap >= 0.99
+
+
+def _three_banded_solves(op, shift):
+    """Reference inverse iteration: three solve_banded calls on the shifted band."""
+    band = op._band()
+    ab = np.zeros((5, op.size), dtype=complex)
+    ab[2] = band[2] - shift
+    for k in (1, 2):
+        ab[2 - k, k:] = band[2 - k, k:]
+        ab[2 + k, :-k] = np.conj(band[2 - k, k:])
+    rng = np.random.default_rng(8128)
+    v = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
+    v /= np.linalg.norm(v)
+    for _ in range(3):
+        v = sla.solve_banded((2, 2), ab, v)
+        v /= np.linalg.norm(v)
+    return v[0::2], v[1::2]
+
+
+def test_inverse_iteration_matches_three_banded_solves():
+    # one LU factorization reused by three solves gives the same bits as
+    # three solves that each factor the band again
+    for model, n in [(WELL, 1), (OSC, 2)]:
+        alpha = 0.5 * alpha_max(model, n)
+        ham = discretize(model, default_grid(model, 301))
+        op = embed(ham, alpha, perturbation_spec(LevelSpec(model, n), alpha).w * ham.level_scale)
+        shift = math.hypot(ham.eigenpair(ham.level_index(n))[0], abs(op.coupling))
+        got = oracle_mod._eigenvector(op, shift)
+        want = _three_banded_solves(op, shift)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_inverse_iteration_nudges_an_exactly_singular_shift(monkeypatch):
+    infos = []
+    get_lapack_funcs = oracle_mod.get_lapack_funcs
+
+    def recording(names, arrays):
+        gbtrf, gbtrs = get_lapack_funcs(names, arrays)
+
+        def factor(*args):
+            lu, piv, info = gbtrf(*args)
+            infos.append(info)
+            return lu, piv, info
+
+        return factor, gbtrs
+
+    monkeypatch.setattr(oracle_mod, "get_lapack_funcs", recording)
+    three_sites = DiscreteHamiltonian(diagonal=np.array([1.0, 2.0, 3.0]), off_diagonal=0.0)
+    op = embed(three_sites, 0.0, 0.0)  # spectrum -3, -2, -1, 1, 2, 3
+    v1, v2 = oracle_mod._eigenvector(op, 2.0)
+    assert infos[0] > 0 and infos[1:] == [0]
+    v = np.concatenate([v1, v2])
+    assert np.all(np.isfinite(v))
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-15)
+    assert abs(v1[1]) == pytest.approx(1.0, rel=1e-12)
