@@ -3,18 +3,24 @@
 CSV uses '.' as the decimal separator, no thousands separators and LF line
 endings; floats are printed with a fixed number of decimal places.  JSON
 carries the same table as {"columns": [...], "rows": [[...]]} with floats
-rounded to the same precision.  Output is rendered fully in memory and
-written in one step (temp file + rename for paths), so a failing command
-never leaves partial output behind.
+rounded to the same precision, in the layout of json.dumps(indent=2).
+Both are produced column-wise: each column's conversion is chosen once per
+table, so a column of plain floats (and, in CSV, of plain ints) needs no
+Python call per cell, and the C JSON encoder writes the rows.  Output is
+rendered fully in memory and written in one step (temp file + rename for
+paths), so a failing command never leaves partial output behind.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import groupby, repeat
 
 
 @dataclass(frozen=True)
@@ -50,18 +56,81 @@ def _json_cell(value, precision: int):
     return value
 
 
+def _csv_column(column: tuple, precision: int) -> tuple[str, Iterable]:
+    """The %-conversion of one column and the cells it formats.
+
+    A column of plain floats prints with '%.Kf' (an exact -0.0 first becomes
+    0.0, as `_csv_cell` does), one of plain ints with '%d'; any other column
+    is formatted cell by cell with `_csv_cell` and printed with '%s'.
+    """
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        if 0.0 in column:  # true for -0.0 too
+            column = map(operator.add, column, repeat(0.0))
+        return f"%.{precision}f", column
+    if kinds == {int}:
+        return "%d", column
+    return "%s", [_csv_cell(v, precision) for v in column]
+
+
+def _json_column(column: tuple, precision: int) -> Iterable:
+    """One column with its floats rounded as `_json_cell` rounds them."""
+    if set(map(type, column)) == {float}:
+        return map(operator.add, map(round, column, repeat(precision)), repeat(0.0))
+    return [_json_cell(v, precision) for v in column]
+
+
+def _csv_runs(rows, precision: int):
+    """The data lines of each run of equal-length rows, converted column by
+    column and formatted with one %-format per row."""
+    for width, run in groupby(rows, len):
+        if not width:
+            yield "\n".join("" for _ in run)
+            continue
+        specs, columns = zip(*(_csv_column(c, precision) for c in zip(*run)))
+        yield "\n".join(map(",".join(specs).__mod__, zip(*columns)))
+
+
+# The C encoder writes a one-line array whose item separator already holds
+# the newline and indentation that json.dumps(indent=2) puts before a cell
+# of a row; a second one does the same for the column names.  A table of
+# scalars holds no cycles, so the encoder need not track the rows it enters.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), check_circular=False)
+_COLUMNS_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "), check_circular=False)
+
+
+def _array(items: str, indent: str) -> str:
+    """Joined items as an indent=2 array whose bracket closes at `indent`."""
+    return f"[\n{indent}  {items}\n{indent}]" if items else "[]"
+
+
+def _json_rows(rows, precision: int):
+    """Laid-out rows, one encoder call per run of equal-length rows.
+
+    Cells are scalars, so the encoded run holds "],<separator>[" only
+    between two rows.
+    """
+    for width, run in groupby(rows, len):
+        if not width:
+            yield from ("[]" for _ in run)
+            continue
+        columns = [_json_column(c, precision) for c in zip(*run)]
+        text = _ROW_ENCODER.encode(list(zip(*columns)))[2:-2]
+        yield _array(text.replace("],\n      [", "\n    ],\n    [\n      "), "    ")
+
+
 def render(spec: OutputSpec, columns: list[str], rows: list[list]) -> str:
+    """The table as text; cells are None, bool, int, float or str.
+
+    CSV floats print with `precision` places.  JSON is byte for byte
+    json.dumps({"columns": columns, "rows": rows}, indent=2) + "\\n" with
+    the floats rounded to `precision` places.
+    """
     if spec.fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(
-            ",".join(_csv_cell(v, spec.precision) for v in row) for row in rows
-        )
-        return "\n".join(lines) + "\n"
-    payload = {
-        "columns": columns,
-        "rows": [[_json_cell(v, spec.precision) for v in row] for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+        return "\n".join([",".join(columns), *_csv_runs(rows, spec.precision)]) + "\n"
+    names = _array(_COLUMNS_ENCODER.encode(columns)[1:-1], "  ")
+    body = _array(",\n    ".join(_json_rows(rows, spec.precision)), "  ")
+    return f'{{\n  "columns": {names},\n  "rows": {body}\n}}\n'
 
 
 def write_output(spec: OutputSpec, columns: list[str], rows: list[list]) -> None:

@@ -9,13 +9,18 @@ which is compared row by row against the quaternionic shift of the same
 level at a given coupling alpha*|W| in eV.  R_y is fixed at 13.6 eV so the
 five-decimal reference table is reproduced digit for digit; pass
 ``rydberg_ev=RYDBERG_EV_PRECISE`` for the CODATA value.
+
+The quaternionic level is the resummed value of `series._closed_form`, the
+helper behind `series.closed_form_limit`: per row through that checked
+function, and per sample of a level curve directly, after one check per
+level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import PerturbationSpec, closed_form_limit
+from .series import PerturbationSpec, _closed_form, closed_form_limit
 
 RYDBERG_EV = 13.6
 RYDBERG_EV_PRECISE = 13.605693
@@ -101,7 +106,9 @@ def hydrogen_levels_vs_potential(
 
     For each n the coupling is sampled uniformly on [0, R_y/n**2]; the
     endpoint is the largest coupling the series radius admits, where the
-    level reaches -sqrt(2) * R_y/n**2.
+    level reaches -sqrt(2) * R_y/n**2.  Each energy is `series._closed_form`
+    of the sample, bit for bit `quaternionic_hydrogen_energy`, without a
+    spec per sample.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -110,7 +117,10 @@ def hydrogen_levels_vs_potential(
         if n < 1:
             raise ValueError("n must be >= 1")
         top = rydberg_ev / n**2
-        for k in range(samples):
-            aw = min(top, top * k / (samples - 1))  # the last sample may round past top
-            rows.append((n, aw, quaternionic_hydrogen_energy(n, aw, rydberg_ev)))
+        e0 = -top
+        # one level and radius check per n: the samples never exceed the radius
+        # top, because min() keeps the last one, which may round past it, on it
+        closed_form_limit(PerturbationSpec(e0=e0, w=complex(top), alpha=1.0))
+        couplings = [min(top, top * k / (samples - 1)) for k in range(samples)]
+        rows.extend((n, aw, _closed_form(e0, aw)) for aw in couplings)
     return rows

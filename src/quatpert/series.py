@@ -16,7 +16,10 @@ coefficients obey the convolution recurrence
 The alternating series converges for |alpha*W| <= |E| (boundary included;
 decay is not strict there) and resums to
 
-    sign(E) * sqrt(E**2 + (alpha*|W|)**2).
+    sign(E) * sqrt(E**2 + (alpha*|W|)**2),
+
+written once, in the float helper `_closed_form(e0, coupling)`, which
+`closed_form_limit` and `relativistic.hydrogen_levels_vs_potential` share.
 
 Only |W| and even powers of alpha enter, so results are invariant under
 alpha -> -alpha and under any phase rotation of W.
@@ -192,7 +195,12 @@ def closed_form_limit(spec: PerturbationSpec) -> float:
         raise RadiusError(
             f"|alpha*W| = {spec.coupling:.6g} exceeds |E0| = {abs(spec.e0):.6g}"
         )
-    return math.copysign(math.hypot(spec.e0, spec.coupling), spec.e0)
+    return _closed_form(spec.e0, spec.coupling)
+
+
+def _closed_form(e0: float, coupling: float) -> float:
+    """sign(e0) * sqrt(e0**2 + coupling**2) in plain floats; callers check the radius."""
+    return math.copysign(math.hypot(e0, coupling), e0)
 
 
 def perturbed_energy(spec: PerturbationSpec, max_order: int = 100) -> SeriesEvaluation:

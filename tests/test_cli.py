@@ -223,17 +223,28 @@ def test_oracle_zero_strength_columns_collapse(run_cli):
 
 def test_oracle_tolerance_failure_exits_two(run_cli):
     # order 1 truncation error is far above the grid tolerance; at --grid 3 the
-    # bare level is off by 222%, which the h**2-scaled tolerance alone would pass
-    for args, message in [
+    # bare level is off by 222%, which the h**2-scaled tolerance alone would pass;
+    # on the two absurd oscillator boxes the bare level is off by ~1e147 and
+    # ~1e55 times, and the embedding fails its inertia (-5e75) or overlap
+    # (-1e30) check, yet the run ends as the grid FAIL, not as exit 1
+    for args, message, certified in [
         (("--model", "well", "--n", "1", "--alpha", "0.45", "--grid", "500", "--order", "1"),
-         "exceeds tolerance"),
+         "exceeds tolerance", True),
         (("--model", "oscillator", "--n", "2", "--alpha", "0.1", "--grid", "3"),
-         "grid level off by 222.51%"),
+         "grid level off by 222.51%", True),
+        (("--model", "oscillator", "--n", "0", "--alpha", "0.5", "--grid", "100",
+          "--x-min", "-5e75", "--x-max", "5e75"), "; refine the grid", False),
+        (("--model", "oscillator", "--n", "1", "--alpha", "0.5", "--grid", "100",
+          "--x-min", "-1e30", "--x-max", "1e30"), "; refine the grid", False),
     ]:
         proc = run_cli("oracle", *args, expect=2)
         assert message in proc.stderr
+        assert "Traceback" not in proc.stderr and "Error:" not in proc.stderr
         header, rows = parse_csv(proc.stdout)  # report still emitted, marked FAIL
         assert rows[0][-1] == "FAIL"
+        report = dict(zip(header, rows[0]))
+        for column in ("oracle_eigenvalue", "rel_oracle_vs_closed", "rel_oracle_vs_series"):
+            assert (report[column] != "") == certified
 
 
 def test_oracle_rejects_hydrogen(run_cli):
@@ -249,7 +260,7 @@ def test_usage_errors_exit_one(run_cli):
     run_cli("levels", "--n", "1", "--samples", "1", expect=1)
     run_cli("series", "--e0", "1", "--w", "1", "--alpha", "0.1",
             "--precision", "16", expect=1)
-    # extreme boxes, and an eigenpair that fails its branch check, exit 1
+    # extreme boxes exit 1
     well = ("oracle", "--model", "well", "--n", "1", "--alpha", "0.1", "--grid", "100")
     oscillator = ("oracle", "--model", "oscillator", "--n", "1", "--alpha", "0.1")
     for args in [
@@ -260,8 +271,6 @@ def test_usage_errors_exit_one(run_cli):
         (*oscillator, "--grid", "100", "--x-max", "1e100"),
         (*oscillator, "--grid", "1000", "--x-min", "-1e155", "--x-max", "1e155"),
         (*oscillator, "--grid", "100", "--x-min", "2e77", "--x-max", "3e77"),
-        ("oracle", "--model", "oscillator", "--n", "1", "--alpha", "0.5",
-         "--grid", "100", "--x-min", "-1e30", "--x-max", "1e30"),
     ]:
         proc = run_cli(*args, expect=1)
         assert "Error:" in proc.stderr
@@ -303,6 +312,32 @@ def test_byte_identical_reruns(run_cli, tmp_path):
     run_cli(*args, "--out", str(second), expect=0)
     assert first.read_bytes() == second.read_bytes()
     assert b"\r" not in first.read_bytes()  # LF endings only
+
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+README_COMMANDS = {
+    "sigma": ("sigma", "--model", "well", "--n", "1", "--alpha", "0.3", "--alpha", "1.0",
+              "--max-order", "30"),
+    "hydrogen-table": ("hydrogen-table", "--alphaw", "0.15", "--n-max", "5"),
+    "levels": ("levels", "--n", "1", "--n", "2", "--n", "3", "--samples", "100"),
+    "oracle": ("oracle", "--model", "oscillator", "--n", "2", "--alpha", "1.0", "--grid", "2000"),
+    "series": ("series", "--e0", "-13.6", "--w", "0.15", "--alpha", "1.0", "--max-order", "200"),
+}
+
+
+def test_readme_commands_match_golden_outputs(run_cli, tmp_path):
+    # tests/data/<command>.<format> pins, byte for byte, what each README
+    # command printed (levels: the file its --out wrote) when the files were made
+    for name, args in README_COMMANDS.items():
+        for fmt in ("csv", "json"):
+            out = tmp_path / "levels.csv"
+            extra = ("--out", str(out)) if name == "levels" else ()
+            proc = run_cli(*args, *extra, "--format", fmt, expect=0)
+            text = out.read_text() if name == "levels" else proc.stdout
+            if name == "levels":
+                assert proc.stdout == ""
+            with open(os.path.join(DATA_DIR, f"{name}.{fmt}"), newline="") as golden:
+                assert text == golden.read(), (name, fmt)
 
 
 def test_json_format(run_cli):

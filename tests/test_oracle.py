@@ -218,6 +218,14 @@ def test_grid_warning_on_coarse_grid():
     assert report.grid_warning
     assert report.rel_grid_error > 0.005
     assert not report.passed  # a pass means the bare level is within 0.5%
+    # an embedding that fails its inertia count on a warned grid is that FAIL,
+    # not an OracleError (on a fine grid a failed certification still raises:
+    # test_branch_matching_rejects_the_wrong_level)
+    report = oracle_compare(OSC, 0, 0.5, Grid1D(-5e75, 5e75, 100))
+    assert report.grid_warning and not report.passed
+    assert report.e0_discrete > 1e146
+    assert (report.oracle_value, report.rel_oracle_vs_closed, report.rel_oracle_vs_series,
+            report.residual, report.overlap) == (None,) * 5
 
 
 def test_apply_matches_dense_matvec():
@@ -263,11 +271,28 @@ def test_residual_certification_rejects_a_poor_eigenvector(monkeypatch):
 
 
 def test_branch_matching_rejects_the_wrong_level(monkeypatch):
+    grid = Grid1D(0.0, 1.0, 200)
+    eigenvector = oracle_mod._eigenvector
     eigenpair = DiscreteHamiltonian.eigenpair
+    # inverse iteration steered to the n = 2 pair: the inertia count rejects it
+    e2 = discretize(WELL, grid).eigenpair(1)[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle_mod, "_eigenvector",
+                      lambda op, shift: eigenvector(op, math.hypot(e2, abs(op.coupling))))
+        with pytest.raises(OracleError, match="branch matching failed: .* expected one"):
+            oracle_compare(WELL, 1, 0.2, grid)
+    # the right bare level with the n = 2 eigenvector: the overlap rejects it
+    with monkeypatch.context() as patch:
+        patch.setattr(DiscreteHamiltonian, "eigenpair",
+                      lambda self, index: (eigenpair(self, index)[0], eigenpair(self, index + 1)[1]))
+        with pytest.raises(OracleError, match=r"branch matching failed for well n=1 \(overlap"):
+            oracle_compare(WELL, 1, 0.2, grid)
+    # the n = 2 bare level as a whole is off its analytic value by 300%: that
+    # grid FAIL stands in for the certification error
     monkeypatch.setattr(DiscreteHamiltonian, "eigenpair",
                         lambda self, index: eigenpair(self, index + 1))
-    with pytest.raises(OracleError, match="branch matching failed"):
-        oracle_compare(WELL, 1, 0.2, Grid1D(0.0, 1.0, 200))
+    report = oracle_compare(WELL, 1, 0.2, grid)
+    assert report.grid_warning and not report.passed and report.oracle_value is None
 
 
 def test_inertia_count_matches_the_full_spectrum():
