@@ -62,6 +62,8 @@ def table_command(name, columns):
     return register
 
 
+quantum_number = click.IntRange(max=100000)  # lower bounds are the models' own
+
 precise_rydberg = click.option(
     "--precise-rydberg",
     "ry",
@@ -77,7 +79,7 @@ precise_rydberg = click.option(
     type=click.Choice([m.value for m in ModelKind]),
     required=True,
 )
-@click.option("--n", type=int, required=True, help="Lower level of the gap pair.")
+@click.option("--n", type=quantum_number, required=True, help="Lower level of the gap pair.")
 @click.option(
     "--alpha",
     "alphas",
@@ -115,7 +117,7 @@ def cmd_hydrogen_table(alphaw, n_max, ry):
 @click.option(
     "--n",
     "n_list",
-    type=int,
+    type=quantum_number,
     multiple=True,
     required=True,
     help="Principal quantum number; repeatable.",
@@ -137,7 +139,7 @@ def cmd_levels(n_list, samples, ry):
     ],
 )
 @click.option("--model", type=click.Choice(["well", "oscillator"]), required=True)
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=quantum_number, required=True)
 @click.option("--alpha", type=float, required=True)
 @click.option("--grid", "grid_points", type=int, default=2000, show_default=True)
 @click.option("--order", type=click.IntRange(1, 50000), default=50, show_default=True)
@@ -164,10 +166,9 @@ def cmd_oracle(model, n, alpha, grid_points, order, x_min, x_max):
     ]
     failure = None
     if report.grid_warning:
-        failure = (
-            f"grid level off by {report.rel_grid_error:.2%} from the analytic value; "
-            "refine the grid"
-        )
+        error = report.rel_grid_error
+        percent = f"{error:.2%}" if error <= 1e4 else f"{100 * error:.2e}%"
+        failure = f"grid level off by {percent} from the analytic value; refine the grid"
     elif not report.passed:
         deviation = max(report.rel_oracle_vs_closed, report.rel_oracle_vs_series)
         failure = f"oracle deviation {deviation:.3e} exceeds tolerance {report.tolerance:.3e}"

@@ -1,4 +1,4 @@
-"""Nonperturbative cross-check via a complex Hermitian embedding.
+"""Nonperturbative cross-check via the embedding of the quaternionic operator.
 
 The quaternionic operator i*H + j*alpha*W acting on phi1 + j*phi2 with a
 right complex eigenvalue is equivalent to the coupled complex system
@@ -6,24 +6,34 @@ right complex eigenvalue is equivalent to the coupled complex system
     [[ H,          i*alpha*conj(W) ]   [phi1]       [phi1]
      [ -i*alpha*W,  -H             ]] * [phi2]  = E * [phi2],
 
-a 2N x 2N Hermitian matrix whose eigenvalues come in +/- pairs: each level
+a 2N x 2N Hermitian matrix B whose eigenvalues come in +/- pairs: each level
 E0 of H contributes +/- sqrt(E0**2 + alpha**2 |W|**2).  H is the standard
 three-point discretization of -d2/dx2 + V with Dirichlet walls (units
 hbar**2/2m = 1), for the infinite well (V = 0 on a box of width L, levels
 n**2 pi**2 / L**2) and the harmonic oscillator (V = x**2, levels 2n + 1,
 i.e. E_omega = 2 in grid units).
 
-`oracle_compare` takes one eigenpair of the embedding without computing
-the rest of its spectrum.  In the interleaved (phi1_i, phi2_i) order the
-embedding is a pentadiagonal Hermitian band.  Shifted inverse iteration
-with a banded solve, started at the value the bare level predicts,
-converges to an eigenvector; the reported eigenvalue is its Rayleigh
-quotient, so the prediction never enters the result.  The pair is
-certified three ways: its residual, ||B v - lambda v|| <= 1e-8 times the
-largest column norm of B (a lower bound on ||B||); its sorted position in
-the spectrum, from Sylvester inertia counts on either side of lambda; and
-its branch, from the overlap of the first block with the unperturbed
-eigenvector of H.
+W is constant, so the diagonal unitary U = diag(I, -i*e^{i*theta}), theta =
+arg(alpha*W), takes B to the real symmetric matrix
+
+    R = U^H B U = [[H, c], [c, -H]],   c = |alpha*W|,
+
+and the oracle works on R in real arithmetic.  R has the spectrum of B.  An
+eigenvector v of R gives the eigenvector U v of B with the same first
+block, so the branch overlap is the same, and since U is unitary,
+||B U v - lambda U v|| = ||R v - lambda v|| and the column norms agree, so
+the residual gate is the same too.
+
+`oracle_compare` takes one eigenpair of R without computing the rest of its
+spectrum.  In the interleaved (phi1_i, phi2_i) order R is a pentadiagonal
+symmetric band.  Shifted inverse iteration with a banded solve, started at
+the value the bare level predicts, converges to an eigenvector; the
+reported eigenvalue is its Rayleigh quotient, so the prediction never
+enters the result.  The pair is certified three ways: its residual,
+||R v - lambda v|| <= 1e-8 times the largest column norm of R (a lower
+bound on ||R||); its sorted position in the spectrum, from Sylvester
+inertia counts on either side of lambda; and its branch, from the overlap
+of the first block with the unperturbed eigenvector of H.
 """
 
 from __future__ import annotations
@@ -38,6 +48,8 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .models import LevelSpec, ModelKind, alpha_max, perturbation_spec
 from .series import RadiusError, closed_form_limit, perturbed_energy
+
+_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
 
 MAX_EMBEDDED_SIZE = 131072  # 2N; bounds the O(N) memory of the band solve
 
@@ -127,13 +139,6 @@ class DiscreteHamiltonian:
         out[1:] += self.off_diagonal * vec[:-1]
         return out
 
-    def to_dense(self) -> np.ndarray:
-        m = np.diag(self.diagonal)
-        idx = np.arange(self.size - 1)
-        m[idx, idx + 1] = self.off_diagonal
-        m[idx + 1, idx] = self.off_diagonal
-        return m
-
 
 def discretize(model: ModelKind, grid: Grid1D) -> DiscreteHamiltonian:
     """Tridiagonal H for the well or oscillator; hydrogen is rejected.
@@ -175,65 +180,39 @@ def discretize(model: ModelKind, grid: Grid1D) -> DiscreteHamiltonian:
 
 @dataclass(frozen=True)
 class EmbeddedOperator:
-    """2N x 2N Hermitian block matrix [[H, i*a*conj(W)], [-i*a*W, -H]]."""
+    """Real symmetric form [[H, c], [c, -H]] of the embedding, c = |alpha*W|."""
 
     hamiltonian: DiscreteHamiltonian
-    alpha: float
-    w: complex
+    coupling: float
 
     @property
     def size(self) -> int:
         return 2 * self.hamiltonian.size
 
-    @property
-    def coupling(self) -> complex:
-        return self.alpha * self.w
-
-    def to_dense(self) -> np.ndarray:
-        n = self.hamiltonian.size
-        h = self.hamiltonian.to_dense().astype(complex)
-        b = np.zeros((2 * n, 2 * n), dtype=complex)
-        b[:n, :n] = h
-        b[n:, n:] = -h
-        c = self.coupling
-        b[:n, n:] = 1j * np.conj(c) * np.eye(n)
-        b[n:, :n] = -1j * c * np.eye(n)
-        return b
-
     def apply(self, v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Block matvec (used for residual checks)."""
+        """Block matvec (used for the Rayleigh quotient and residual)."""
         c = self.coupling
-        y1 = self.hamiltonian.apply(v1) + 1j * np.conj(c) * v2
-        y2 = -1j * c * v1 - self.hamiltonian.apply(v2)
-        return y1, y2
+        return self.hamiltonian.apply(v1) + c * v2, c * v1 - self.hamiltonian.apply(v2)
 
     def _band(self) -> np.ndarray:
-        """Upper Hermitian band in interleaved (phi1_i, phi2_i) order.
+        """Upper symmetric band in interleaved (phi1_i, phi2_i) order.
 
         Interleaving turns the block matrix into a pentadiagonal one, which
-        is what keeps the banded eigensolve fast at large N.
+        is what keeps the banded solve O(N).
         """
         h = self.hamiltonian
-        band = np.zeros((3, self.size), dtype=complex)
+        band = np.zeros((3, self.size))
         band[2, 0::2] = h.diagonal
         band[2, 1::2] = -h.diagonal
-        band[1, 1::2] = 1j * np.conj(self.coupling)
+        band[1, 1::2] = self.coupling
         band[0, 2::2] = h.off_diagonal
         band[0, 3::2] = -h.off_diagonal
         return band
 
 
 def embed(h: DiscreteHamiltonian, alpha: float, w: complex) -> EmbeddedOperator:
-    """Hermitian embedding of i*H + j*alpha*W; at alpha = 0 it is diag(H, -H)."""
-    return EmbeddedOperator(hamiltonian=h, alpha=alpha, w=complex(w))
-
-
-def _all_eigenvalues(op: EmbeddedOperator) -> np.ndarray:
-    """The full sorted spectrum, O(N**2); a reference, not on the oracle route."""
-    try:
-        return sla.eig_banded(op._band(), lower=False, eigvals_only=True, select="a")
-    except np.linalg.LinAlgError as exc:
-        raise OracleError(f"eigensolver did not converge: {exc}") from exc
+    """Real form of the embedding of i*H + j*alpha*W; at alpha = 0 it is diag(H, -H)."""
+    return EmbeddedOperator(hamiltonian=h, coupling=abs(alpha) * abs(w))
 
 
 def _eigenvector(op: EmbeddedOperator, eigenvalue: float) -> tuple[np.ndarray, np.ndarray]:
@@ -245,24 +224,22 @@ def _eigenvector(op: EmbeddedOperator, eigenvalue: float) -> tuple[np.ndarray, n
     """
     n2 = op.size
     band = op._band()
-    ab = np.zeros((7, n2), dtype=complex)  # fill-in rows, then two rows each side
+    ab = np.zeros((7, n2))  # fill-in rows, then two rows each side
     ab[4, :] = band[2, :] - eigenvalue
     for k in (1, 2):
         ab[4 - k, k:] = band[2 - k, k:]
-        ab[4 + k, :-k] = np.conj(band[2 - k, k:])
-    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-    lu, piv, info = gbtrf(ab, 2, 2)
+        ab[4 + k, :-k] = band[2 - k, k:]
+    lu, piv, info = _gbtrf(ab, 2, 2)
     if info > 0:
         # exactly singular shift: nudge by one part in 1e13
         ab[4, :] -= abs(eigenvalue) * 1e-13 + 1e-300
-        lu, piv, info = gbtrf(ab, 2, 2)
+        lu, piv, info = _gbtrf(ab, 2, 2)
     if info != 0:
         raise OracleError(f"banded LU factorization failed at shift {eigenvalue:.6g}")
-    rng = np.random.default_rng(8128)
-    v = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
+    v = np.random.default_rng(8128).standard_normal(n2)
     v /= np.linalg.norm(v)
     for _ in range(3):
-        v = gbtrs(lu, 2, 2, v, piv)[0]
+        v = _gbtrs(lu, 2, 2, v, piv, overwrite_b=True)[0]
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(v)
         if not math.isfinite(norm):  # entries past ~1e154 overflow the sum of squares
@@ -272,64 +249,81 @@ def _eigenvector(op: EmbeddedOperator, eigenvalue: float) -> tuple[np.ndarray, n
     return v[0::2], v[1::2]
 
 
-def _residual(op: EmbeddedOperator, eigenvalue: float,
-              v1: np.ndarray, v2: np.ndarray) -> float:
+def _residual(op: EmbeddedOperator, v1: np.ndarray, v2: np.ndarray) -> tuple[float, float]:
+    """Rayleigh quotient lam of the unit vector (v1, v2) and ||R v - lam v||."""
     y1, y2 = op.apply(v1, v2)
-    r = math.hypot(
-        float(np.linalg.norm(y1 - eigenvalue * v1)),
-        float(np.linalg.norm(y2 - eigenvalue * v2)),
-    )
-    return r
+    lam = float(v1 @ y1 + v2 @ y2)
+    return lam, math.hypot(float(np.linalg.norm(y1 - lam * v1)),
+                           float(np.linalg.norm(y2 - lam * v2)))
 
 
 def _column_norm(op: EmbeddedOperator) -> float:
-    """Largest column 2-norm of B, a lower bound on ||B||.
+    """Largest column 2-norm of R (and of B), a lower bound on ||R||.
 
     Column i of either block holds the diagonal entry d_i, the coupling and
     one off-diagonal entry per neighbour (the end columns have one).
     """
     h = op.hamiltonian
-    scale = max(float(np.abs(h.diagonal).max()), abs(h.off_diagonal), abs(op.coupling)) or 1.0
+    scale = max(float(np.abs(h.diagonal).max()), abs(h.off_diagonal), op.coupling) or 1.0
     o2 = (h.off_diagonal / scale) ** 2
     squares = (h.diagonal / scale) ** 2 + 2.0 * o2
     squares[0] -= o2
     squares[-1] -= o2
-    return scale * math.sqrt(float(squares.max()) + (abs(op.coupling) / scale) ** 2)
+    return scale * math.sqrt(float(squares.max()) + (op.coupling / scale) ** 2)
 
 
-def _count_below(op: EmbeddedOperator, sigma: float) -> int:
-    """Number of eigenvalues of the embedding below `sigma`, in O(N).
+def _count_below(op: EmbeddedOperator, lower: float, upper: float) -> tuple[int, int]:
+    """Numbers of eigenvalues of the embedding below `lower` and `upper`, in O(N).
 
-    Sylvester's law of inertia on the block LDL^T of B - sigma*I in the
+    Sylvester's law of inertia on the block LDL^T of R - sigma*I in the
     interleaved order: the 2x2 pivots are S_0 = D_0 - sigma and
     S_{k+1} = D_{k+1} - sigma - E S_k^{-1} E with E = diag(o, -o), and the
     count is the number of negative eigenvalues summed over the pivots.
-    A pivot [[a, i*conj(c)*t], [-i*c*t, b]] is carried as the reals
-    (a, b, beta = |c|*t), in units of the largest entry so that the
-    products stay in range.  An exactly singular pivot means sigma is an
-    eigenvalue of a leading block; the count then restarts 2**-50 of that
-    unit lower, so an eigenvalue at sigma itself is not counted.
+    A pivot [[a, beta], [beta, b]] is carried as the reals (a, b, beta), in
+    a power-of-two unit near the largest entry, so that the scaling is
+    exact and the products stay in range.  One sweep over the scaled
+    diagonal runs the recurrences at both shifts.  An exactly singular
+    pivot means that shift is an eigenvalue of a leading block; that end
+    then restarts 2**-50 of the unit lower, so an eigenvalue at the shift
+    itself is not counted.
     """
     h = op.hamiltonian
-    diagonal = h.diagonal.tolist()
-    scale = max(max(map(abs, diagonal)), abs(h.off_diagonal), abs(op.coupling),
-                abs(sigma)) or 1.0
-    diagonal = [d / scale for d in diagonal]
+    largest = max(float(np.abs(h.diagonal).max()), abs(h.off_diagonal), op.coupling,
+                  abs(lower), abs(upper))
+    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+    diagonal = (h.diagonal / scale).tolist()
     o2 = (h.off_diagonal / scale) ** 2
-    c = abs(op.coupling) / scale
-    s = sigma / scale
+    c = op.coupling / scale
+    s, t = lower / scale, upper / scale
     while True:
-        count, a, b, beta, det = 0, 0.0, 0.0, 0.0, 1.0
+        below = through = 0
+        a = b = beta = p = q = gamma = 0.0
+        det_s = det_t = 1.0
         for d in diagonal:
-            r = o2 / det
+            r = o2 / det_s
             a, b, beta = d - s - r * b, -d - s - r * a, c - r * beta
-            det = a * b - beta * beta
-            if det == 0.0:
+            det_s = a * b - beta * beta
+            r = o2 / det_t
+            p, q, gamma = d - t - r * q, -d - t - r * p, c - r * gamma
+            det_t = p * q - gamma * gamma
+            if det_s < 0.0:
+                below += 1
+            elif det_s == 0.0:
                 break
-            count += 1 if det < 0.0 else 2 if a < 0.0 else 0
+            elif a < 0.0:
+                below += 2
+            if det_t < 0.0:
+                through += 1
+            elif det_t == 0.0:
+                break
+            elif p < 0.0:
+                through += 2
         else:
-            return count
-        s -= 2.0**-50
+            return below, through
+        if det_s == 0.0:
+            s -= 2.0**-50
+        if det_t == 0.0:
+            t -= 2.0**-50
 
 
 def _certified_eigenpair(op: EmbeddedOperator, index: int,
@@ -337,23 +331,21 @@ def _certified_eigenpair(op: EmbeddedOperator, index: int,
     """Eigenpair at sorted position `index` of the embedding, found from `shift`.
 
     Returns (lam, v1, v2, residual): lam is the Rayleigh quotient of the
-    unit inverse-iteration vector (v1, v2), and residual is ||B v - lam v||
-    relative to the largest column norm of B, at most 1e-8.  Some
-    eigenvalue lies within the absolute residual of lam; two inertia counts
-    then show that exactly one eigenvalue, the one at `index`, lies within
-    max(||B v - lam v||, 1e-12 * norm) of lam.
+    unit inverse-iteration vector (v1, v2), and residual is ||R v - lam v||
+    relative to the largest column norm of R, at most 1e-8.  Some
+    eigenvalue lies within the absolute residual of lam; one inertia sweep
+    then shows that exactly one eigenvalue, the one at `index`, lies within
+    max(||R v - lam v||, 1e-12 * norm) of lam.
     """
     v1, v2 = _eigenvector(op, shift)
-    y1, y2 = op.apply(v1, v2)
-    lam = float(np.vdot(v1, y1).real + np.vdot(v2, y2).real)
+    lam, residual = _residual(op, v1, v2)
     norm = _column_norm(op)
-    residual = _residual(op, lam, v1, v2)
     if residual > _RESIDUAL_REL * norm:
         raise OracleError(
             f"eigenpair residual exceeds {_RESIDUAL_REL:g} * ||B|| at {lam:.6g}"
         )
     delta = max(residual, _WINDOW_REL * norm)
-    below, through = _count_below(op, lam - delta), _count_below(op, lam + delta)
+    below, through = _count_below(op, lam - delta, lam + delta)
     if (below, through) != (index, index + 1):
         raise OracleError(
             f"branch matching failed: {through - below} eigenvalue(s) within "
@@ -457,15 +449,15 @@ def oracle_compare(
     series_value = perturbed_energy(spec, 2 * order).value
     closed = closed_form_limit(spec)
 
-    op = embed(ham, alpha, spec.w * ham.level_scale)
+    op = embed(ham, alpha, abs(spec.w) * ham.level_scale)
     tol = compare_tolerance(grid.n_points)
     try:
         # positive branch, ordering preserved; the predicted level is only the shift
         lam, v1, v2, residual = _certified_eigenpair(
-            op, ham.size + m, math.hypot(e0_grid, abs(op.coupling))
+            op, ham.size + m, math.hypot(e0_grid, op.coupling)
         )
         overlap = float(
-            abs(np.vdot(u_vec, v1)) / (np.linalg.norm(u_vec) * np.linalg.norm(v1))
+            abs(u_vec @ v1) / (np.linalg.norm(u_vec) * np.linalg.norm(v1))
         )
         if overlap < 0.99 or np.linalg.norm(v1) <= np.linalg.norm(v2):
             raise OracleError(

@@ -226,19 +226,22 @@ def test_oracle_tolerance_failure_exits_two(run_cli):
     # bare level is off by 222%, which the h**2-scaled tolerance alone would pass;
     # on the two absurd oscillator boxes the bare level is off by ~1e147 and
     # ~1e55 times, and the embedding fails its inertia (-5e75) or overlap
-    # (-1e30) check, yet the run ends as the grid FAIL, not as exit 1
+    # (-1e30) check, yet the run ends as the grid FAIL, not as exit 1; past
+    # 1e6 % the grid error prints in three significant digits
     for args, message, certified in [
         (("--model", "well", "--n", "1", "--alpha", "0.45", "--grid", "500", "--order", "1"),
          "exceeds tolerance", True),
         (("--model", "oscillator", "--n", "2", "--alpha", "0.1", "--grid", "3"),
          "grid level off by 222.51%", True),
         (("--model", "oscillator", "--n", "0", "--alpha", "0.5", "--grid", "100",
-          "--x-min", "-5e75", "--x-max", "5e75"), "; refine the grid", False),
+          "--x-min", "-5e75", "--x-max", "5e75"),
+         "error: grid level off by 2.45e+149% from the analytic value; refine the grid\n",
+         False),
         (("--model", "oscillator", "--n", "1", "--alpha", "0.5", "--grid", "100",
           "--x-min", "-1e30", "--x-max", "1e30"), "; refine the grid", False),
     ]:
         proc = run_cli("oracle", *args, expect=2)
-        assert message in proc.stderr
+        assert message in proc.stderr and len(proc.stderr) < 100
         assert "Traceback" not in proc.stderr and "Error:" not in proc.stderr
         header, rows = parse_csv(proc.stdout)  # report still emitted, marked FAIL
         assert rows[0][-1] == "FAIL"
@@ -251,6 +254,22 @@ def test_oracle_rejects_hydrogen(run_cli):
     proc = run_cli("oracle", "--model", "hydrogen", "--n", "1", "--alpha", "0.1",
                    expect=1)
     assert "Invalid value" in proc.stderr or "invalid" in proc.stderr.lower()
+
+
+def test_quantum_numbers_are_bounded(run_cli):
+    # a huge --n is a usage error, not an OverflowError traceback
+    for n in (str(10**200), "100001"):
+        for args in [
+            ("levels", "--n", n),
+            ("sigma", "--model", "well", "--n", n, "--alpha", "0.1"),
+            ("oracle", "--model", "well", "--n", n, "--alpha", "0.1", "--grid", "100"),
+        ]:
+            proc = run_cli(*args, expect=1)
+            assert "Invalid value for '--n'" in proc.stderr
+            assert "is not in the range x<=100000" in proc.stderr
+            assert "Traceback" not in proc.stderr and proc.stdout == ""
+    run_cli("sigma", "--model", "well", "--n", "100000", "--alpha", "0.1",
+            "--max-order", "2", expect=0)
 
 
 def test_usage_errors_exit_one(run_cli):
