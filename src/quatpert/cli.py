@@ -138,7 +138,8 @@ def cmd_levels(n_list, samples, ry):
         "rel_grid_error", "tolerance", "status",
     ],
 )
-@click.option("--model", type=click.Choice(["well", "oscillator"]), required=True)
+@click.option("--model", required=True,
+              type=click.Choice([m.value for m in ModelKind if models._MODELS[m].box]))
 @click.option("--n", type=quantum_number, required=True)
 @click.option("--alpha", type=float, required=True)
 @click.option("--grid", "grid_points", type=int, default=2000, show_default=True)
@@ -187,9 +188,11 @@ def cmd_series(e0, w_mod, alpha, max_order):
     """Correction coefficients, terms and partial sums, one row per order."""
     spec = series.PerturbationSpec(e0=e0, w=complex(w_mod), alpha=alpha)
     evaluation = series.perturbed_energy(spec, max_order)
-    # at alpha = 1 the terms are the coefficients E_s
     unit = series.PerturbationSpec(e0=e0, w=complex(w_mod), alpha=1.0)
-    coefficients = series.perturbed_energy(unit, max_order).terms
+    try:  # at alpha = 1 the terms are the coefficients E_s
+        coefficients = series.perturbed_energy(unit, max_order).terms
+    except ValueError as exc:
+        raise ValueError(f"coefficient column (the series at alpha = 1): {exc}") from None
     if evaluation.at_boundary:
         notes = ["|alpha*W| equals |E0|; terms no longer decay strictly"]
     elif not evaluation.in_radius:

@@ -22,15 +22,18 @@ terms up through (alpha * |W| / 2E)**(2s).
 
 from __future__ import annotations
 
-import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .series import (
     PerturbationSpec,
     RadiusWarning,
     _catalan_terms,
+    _closed_form,
+    _outside_radius,
     perturbed_energy,
 )
 
@@ -41,13 +44,25 @@ class ModelKind(str, Enum):
     OSCILLATOR = "oscillator"
 
 
-_MIN_N = {ModelKind.HYDROGEN: 1, ModelKind.WELL: 1, ModelKind.OSCILLATOR: 0}
-_W_MAGNITUDE = {ModelKind.HYDROGEN: 2.0, ModelKind.WELL: 2.0, ModelKind.OSCILLATOR: 1.0}
+# Each model's facts, written only here: lowest n, |W|, the level E(n), and
+# the oracle's default box (None: the model has no grid).
+class _Model(NamedTuple):
+    n_min: int
+    w: float
+    energy: Callable[[int], float]
+    box: tuple[float, float] | None
+
+
+_MODELS = {
+    ModelKind.HYDROGEN: _Model(1, 2.0, lambda n: -1.0 / n**2, None),
+    ModelKind.WELL: _Model(1, 2.0, lambda n: float(n**2), (0.0, 1.0)),
+    ModelKind.OSCILLATOR: _Model(0, 1.0, lambda n: n + 0.5, (-8.0, 8.0)),
+}
 
 
 def _check_n(model: ModelKind, n: int) -> None:
-    if n < _MIN_N[model]:
-        raise ValueError(f"{model.value} requires n >= {_MIN_N[model]}, got {n}")
+    if n < _MODELS[model].n_min:
+        raise ValueError(f"{model.value} requires n >= {_MODELS[model].n_min}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -72,16 +87,12 @@ class SigmaCurveResult:
 
 def unperturbed_energy(level: LevelSpec) -> float:
     """Level energy in the model's unit: -1/n**2, n**2, or n + 1/2."""
-    if level.model is ModelKind.HYDROGEN:
-        return -1.0 / level.n**2
-    if level.model is ModelKind.WELL:
-        return float(level.n**2)
-    return level.n + 0.5
+    return _MODELS[level.model].energy(level.n)
 
 
 def model_w(level: LevelSpec) -> float:
     """Coupling magnitude |W| in the model's unit: 2, 2, or 1."""
-    return _W_MAGNITUDE[level.model]
+    return _MODELS[level.model].w
 
 
 def perturbation_spec(level: LevelSpec, alpha: float) -> PerturbationSpec:
@@ -92,21 +103,13 @@ def perturbation_spec(level: LevelSpec, alpha: float) -> PerturbationSpec:
 
 
 def alpha_max(model: ModelKind, n: int) -> float:
-    """Largest strength keeping level n inside the convergence radius."""
-    _check_n(model, n)
-    if model is ModelKind.HYDROGEN:
-        return 1.0 / (2 * n**2)
-    if model is ModelKind.WELL:
-        return n**2 / 2.0
-    return n + 0.5
+    """Largest strength inside level n's radius, |E(n)|/|W| (exact: |W| is 1 or 2)."""
+    level = LevelSpec(model, n)
+    return abs(unperturbed_energy(level)) / model_w(level)
 
 
 def gap_alpha_max(model: ModelKind, n: int) -> float:
-    """Binding strength bound for the level pair (n, n+1).
-
-    The minimum of the two level bounds: 1/(2(n+1)**2) for hydrogen, and
-    the level-n value for the well and oscillator.
-    """
+    """Binding strength bound for the level pair (n, n+1): the smaller level bound."""
     return min(alpha_max(model, n), alpha_max(model, n + 1))
 
 
@@ -132,18 +135,21 @@ def spectral_gap(model: ModelKind, n: int) -> float:
     expressions can differ from the difference by one ulp).
     """
     _check_n(model, n)
-    return unperturbed_energy(LevelSpec(model, n + 1)) - unperturbed_energy(
-        LevelSpec(model, n)
-    )
+    energy = _MODELS[model].energy
+    return energy(n + 1) - energy(n)
 
 
 def _level_value(level: LevelSpec, alpha: float, order: int) -> float:
     return perturbed_energy(perturbation_spec(level, alpha), 2 * order).value
 
 
-def _warn_if_outside(level: LevelSpec, alpha: float) -> bool:
-    outside = abs(alpha) * model_w(level) > abs(unperturbed_energy(level))
-    if outside:
+def _outside(level: LevelSpec, alpha: float) -> bool:
+    """The series radius rule for one level at strength alpha."""
+    return _outside_radius(unperturbed_energy(level), abs(alpha) * model_w(level))
+
+
+def _warn_if_outside(level: LevelSpec, alpha: float) -> None:
+    if _outside(level, alpha):
         warnings.warn(
             RadiusWarning(
                 f"alpha={alpha:.6g} puts {level.model.value} level n={level.n} "
@@ -152,7 +158,6 @@ def _warn_if_outside(level: LevelSpec, alpha: float) -> bool:
             ),
             stacklevel=3,
         )
-    return outside
 
 
 def perturbed_level(level: LevelSpec, alpha: float, order: int) -> float:
@@ -225,13 +230,9 @@ def sigma_limit(model: ModelKind, n: int, alpha: float) -> float:
     and sqrt(x**2 + c) - |x| decreases as |x| grows, so every gap contracts.
     """
     _check_n(model, n)
-    aw = abs(alpha) * _W_MAGNITUDE[model]
-    lo = LevelSpec(model, n)
-    hi = LevelSpec(model, n + 1)
-    e_lo, e_hi = unperturbed_energy(lo), unperturbed_energy(hi)
-    lam = math.copysign(math.hypot(e_hi, aw), e_hi) - math.copysign(
-        math.hypot(e_lo, aw), e_lo
-    )
+    facts = _MODELS[model]
+    aw = abs(alpha) * facts.w
+    lam = _closed_form(facts.energy(n + 1), aw) - _closed_form(facts.energy(n), aw)
     return lam / spectral_gap(model, n)
 
 
@@ -274,14 +275,8 @@ def sigma_curve(
                 f"alpha={alpha:.6g} is beyond the pair radius {pair_bound:.6g}; "
                 "partial sums oscillate without converging"
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RadiusWarning)
-            lo = perturbed_energy(
-                perturbation_spec(LevelSpec(model, n), alpha), 2 * max_order
-            )
-            hi = perturbed_energy(
-                perturbation_spec(LevelSpec(model, n + 1), alpha), 2 * max_order
-            )
+        lo = perturbed_energy(perturbation_spec(LevelSpec(model, n), alpha), 2 * max_order)
+        hi = perturbed_energy(perturbation_spec(LevelSpec(model, n + 1), alpha), 2 * max_order)
         for s in range(1, max_order + 1):
             gap_s = hi.partial_sums[2 * s - 1] - lo.partial_sums[2 * s - 1]
             rows.append((alpha, s, gap_s / lam))

@@ -46,7 +46,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .models import LevelSpec, ModelKind, alpha_max, perturbation_spec
+from .models import _MODELS, LevelSpec, ModelKind, _outside, alpha_max, perturbation_spec
 from .series import RadiusError, closed_form_limit, perturbed_energy
 
 _gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
@@ -140,6 +140,14 @@ class DiscreteHamiltonian:
         return out
 
 
+def _grid_model(model: ModelKind) -> ModelKind:
+    """The model, if it has a grid (a default box in the model table)."""
+    model = ModelKind(model)
+    if _MODELS[model].box is None:
+        raise ValueError("only the well and oscillator are discretized here")
+    return model
+
+
 def discretize(model: ModelKind, grid: Grid1D) -> DiscreteHamiltonian:
     """Tridiagonal H for the well or oscillator; hydrogen is rejected.
 
@@ -148,18 +156,12 @@ def discretize(model: ModelKind, grid: Grid1D) -> DiscreteHamiltonian:
     relevant turning points with room for the Gaussian tails; [-8, 8]
     covers the first handful of levels to well below the stencil error.
     """
-    model = ModelKind(model)
+    model = _grid_model(model)
     h = grid.h
     if model is ModelKind.WELL:
         diag = np.full(grid.n_points, 2.0 / h**2)
-        width = grid.x_max - grid.x_min
-        return DiscreteHamiltonian(
-            diagonal=diag,
-            off_diagonal=-1.0 / h**2,
-            level_scale=math.pi**2 / width**2,
-            n_min=1,
-        )
-    if model is ModelKind.OSCILLATOR:
+        level_scale = math.pi**2 / (grid.x_max - grid.x_min) ** 2
+    else:
         edge = max(abs(grid.x_min), abs(grid.x_max))
         bound = 4.0 / h**2 + edge * edge  # Gershgorin bound on the stencil rows
         if not math.isfinite(bound * bound):
@@ -167,15 +169,9 @@ def discretize(model: ModelKind, grid: Grid1D) -> DiscreteHamiltonian:
                 f"box [{grid.x_min:.6g}, {grid.x_max:.6g}]: the oscillator stencil "
                 "bound 4/h**2 + x**2 leaves double range when squared"
             )
-        x = grid.points()
-        diag = 2.0 / h**2 + x**2
-        return DiscreteHamiltonian(
-            diagonal=diag,
-            off_diagonal=-1.0 / h**2,
-            level_scale=2.0,
-            n_min=0,
-        )
-    raise ValueError("only the well and oscillator are discretized here")
+        diag = 2.0 / h**2 + grid.points() ** 2
+        level_scale = 2.0
+    return DiscreteHamiltonian(diag, -1.0 / h**2, level_scale, _MODELS[model].n_min)
 
 
 @dataclass(frozen=True)
@@ -398,12 +394,7 @@ class OracleReport:
 
 def default_grid(model: ModelKind, n_points: int = 2000) -> Grid1D:
     """Unit box for the well; [-8, 8] for the oscillator."""
-    model = ModelKind(model)
-    if model is ModelKind.WELL:
-        return Grid1D(0.0, 1.0, n_points)
-    if model is ModelKind.OSCILLATOR:
-        return Grid1D(-8.0, 8.0, n_points)
-    raise ValueError("only the well and oscillator are discretized here")
+    return Grid1D(*_MODELS[_grid_model(model)].box, n_points)
 
 
 def oracle_compare(
@@ -426,7 +417,7 @@ def oracle_compare(
     """
     model = ModelKind(model)
     level = LevelSpec(model, n)
-    if abs(alpha) > alpha_max(model, n):
+    if _outside(level, alpha):
         raise RadiusError(
             f"alpha={alpha:.6g} outside the {model.value} n={n} radius "
             f"{alpha_max(model, n):.6g}"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import PerturbationSpec, _closed_form, closed_form_limit
+from .series import PerturbationSpec, _closed_form, _outside_radius, closed_form_limit
 
 RYDBERG_EV = 13.6
 RYDBERG_EV_PRECISE = 13.605693
@@ -44,11 +44,18 @@ class ComparisonTable:
     omitted: tuple[tuple[int, str], ...]
 
 
+def _level_ev(n: int, rydberg_ev: float) -> float:
+    """Bare hydrogen level -R_y/n**2 in eV; rejects n < 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return -rydberg_ev / n**2
+
+
 def relativistic_energy(n: int, l: int, rydberg_ev: float = RYDBERG_EV) -> float:
     """Kinetically corrected level energy in eV; rejects invalid (n, l)."""
-    if n < 1 or not 0 <= l <= n - 1:
+    if not 0 <= l <= n - 1:  # empty for n < 1
         raise ValueError(f"invalid quantum numbers (n={n}, l={l})")
-    base = -rydberg_ev / n**2
+    base = _level_ev(n, rydberg_ev)
     correction = rydberg_ev**2 / (2.0 * ELECTRON_MASS_EV * n**4) * (
         8.0 * n / (2 * l + 1) - 3.0
     )
@@ -59,9 +66,7 @@ def quaternionic_hydrogen_energy(
     n: int, alpha_w_ev: float, rydberg_ev: float = RYDBERG_EV
 ) -> float:
     """Resummed hydrogen level -sqrt((R_y/n**2)**2 + (alpha*|W|)**2) in eV."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    spec = PerturbationSpec(e0=-rydberg_ev / n**2, w=complex(alpha_w_ev), alpha=1.0)
+    spec = PerturbationSpec(e0=_level_ev(n, rydberg_ev), w=complex(alpha_w_ev), alpha=1.0)
     return closed_form_limit(spec)
 
 
@@ -80,17 +85,17 @@ def comparison_table(
     rows = []
     omitted = []
     for n in range(1, n_max + 1):
-        radius = rydberg_ev / n**2
-        if alpha_w_ev > radius:
+        e0 = _level_ev(n, rydberg_ev)
+        if _outside_radius(e0, alpha_w_ev):
             omitted.append(
                 (n, f"coupling {alpha_w_ev:.6g} eV exceeds the level radius "
-                    f"{radius:.6g} eV")
+                    f"{-e0:.6g} eV")
             )
             continue
         rows.append(
             ComparisonRow(
                 n=n,
-                e_complex=-rydberg_ev / n**2,
+                e_complex=e0,
                 e_relativistic=relativistic_energy(n, 0, rydberg_ev),
                 e_quaternionic=quaternionic_hydrogen_energy(n, alpha_w_ev, rydberg_ev),
                 alpha_w_ev=alpha_w_ev,
@@ -114,10 +119,8 @@ def hydrogen_levels_vs_potential(
         raise ValueError("samples must be >= 2")
     rows = []
     for n in n_list:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        top = rydberg_ev / n**2
-        e0 = -top
+        e0 = _level_ev(n, rydberg_ev)
+        top = -e0
         # one level and radius check per n: the samples never exceed the radius
         # top, because min() keeps the last one, which may round past it, on it
         closed_form_limit(PerturbationSpec(e0=e0, w=complex(top), alpha=1.0))

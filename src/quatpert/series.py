@@ -19,7 +19,9 @@ decay is not strict there) and resums to
     sign(E) * sqrt(E**2 + (alpha*|W|)**2),
 
 written once, in the float helper `_closed_form(e0, coupling)`, which
-`closed_form_limit` and `relativistic.hydrogen_levels_vs_potential` share.
+`closed_form_limit`, `models.sigma_limit` and the level curves of
+`relativistic` share.  The radius rule is `_outside_radius(e0, coupling)`,
+read by `is_convergent` and by the level checks that hold no spec.
 
 Only |W| and even powers of alpha enter, so results are invariant under
 alpha -> -alpha and under any phase rotation of W.
@@ -180,7 +182,12 @@ def correction_coefficient_recurrence(spec: PerturbationSpec, s: int) -> float:
 
 def is_convergent(spec: PerturbationSpec) -> bool:
     """True iff |alpha * W| <= |E|, the boundary included."""
-    return spec.coupling <= abs(spec.e0)
+    return not _outside_radius(spec.e0, spec.coupling)
+
+
+def _outside_radius(e0: float, coupling: float) -> bool:
+    """coupling > |e0| in plain floats; a NaN coupling is left to the caller's own check."""
+    return coupling > abs(e0)
 
 
 def closed_form_limit(spec: PerturbationSpec) -> float:

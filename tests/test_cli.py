@@ -185,15 +185,18 @@ def test_sigma_high_order_inside_radius_is_finite(run_cli):
 def test_out_of_double_range_exits_one_naming_the_order(run_cli):
     cases = [
         # beyond the pair radius the exact partial sums exceed double range
-        ("sigma", "--model", "well", "--n", "1", "--alpha", "1.0", "--max-order", "600"),
-        # |W| >> |E0|: the coefficient column overflows
-        ("series", "--e0", "1", "--w", "100", "--alpha", "0.001", "--max-order", "400"),
+        (("sigma", "--model", "well", "--n", "1", "--alpha", "1.0", "--max-order", "600"),
+         "series term"),
+        # |W| >> |E0|: the coefficient column overflows, not the tiny terms
+        (("series", "--e0", "1", "--w", "100", "--alpha", "0.001", "--max-order", "400"),
+         "coefficient"),
         # a subnormal level
-        ("series", "--e0", "1e-310", "--w", "0.15", "--alpha", "1.0"),
+        (("series", "--e0", "1e-310", "--w", "0.15", "--alpha", "1.0"), "series term"),
     ]
-    for args in cases:
+    for args, column in cases:
         proc = run_cli(*args, expect=1)
         assert re.search(r"order-\d+ ", proc.stderr), proc.stderr
+        assert column in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 

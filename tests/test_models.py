@@ -1,14 +1,17 @@
 import math
 import random
+import warnings
 
 import pytest
 
+from quatpert import oracle as oracle_mod
 from quatpert.models import (
     LevelSpec,
     ModelKind,
     alpha_max,
     gap_alpha_max,
     model_w,
+    perturbation_spec,
     perturbed_gap,
     perturbed_level,
     sigma_alpha_limit,
@@ -19,7 +22,9 @@ from quatpert.models import (
     spectral_gap,
     unperturbed_energy,
 )
-from quatpert.series import RadiusWarning
+from quatpert.oracle import Grid1D, oracle_compare
+from quatpert.relativistic import RYDBERG_EV, RYDBERG_EV_PRECISE, comparison_table
+from quatpert.series import RadiusError, RadiusWarning, is_convergent
 
 HYD, WELL, OSC = ModelKind.HYDROGEN, ModelKind.WELL, ModelKind.OSCILLATOR
 
@@ -218,3 +223,40 @@ def test_sigma_curve_rows_match_sigma_ratio():
     curve = sigma_curve(OSC, 1, [0.9], 10)
     for alpha, order, value in curve.rows:
         assert value == pytest.approx(sigma_ratio(OSC, 1, alpha, order), rel=1e-13)
+
+
+def test_every_entry_point_draws_the_level_radius_at_the_same_ulp(monkeypatch):
+    # alpha_max is inside the radius everywhere, and one ulp above it outside
+    class Discretized(Exception):
+        pass
+
+    def sentinel(*args):
+        raise Discretized  # oracle_compare got past its radius check
+
+    monkeypatch.setattr(oracle_mod, "discretize", sentinel)
+    grid = Grid1D(0.0, 1.0, 100)
+    for model in ModelKind:
+        n_min = 0 if model is OSC else 1
+        for n in (n_min, n_min + 1, 7, 123, 100000):
+            level = LevelSpec(model, n)
+            bound = alpha_max(model, n)
+            above = math.nextafter(bound, math.inf)
+            assert is_convergent(perturbation_spec(level, bound)), (model, n)
+            assert not is_convergent(perturbation_spec(level, above)), (model, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RadiusWarning)
+                perturbed_level(level, bound, 3)
+            with pytest.warns(RadiusWarning):
+                perturbed_level(level, above, 3)
+            if model is not HYD and n < 50:
+                with pytest.raises(Discretized):
+                    oracle_compare(model, n, bound, grid)
+                with pytest.raises(RadiusError):
+                    oracle_compare(model, n, above, grid)
+    for rydberg_ev in (RYDBERG_EV, RYDBERG_EV_PRECISE):
+        for n in (1, 2, 7, 123, 100000):
+            radius = rydberg_ev / n**2
+            table = comparison_table(radius, n, rydberg_ev)
+            assert table.rows[-1].n == n and not table.omitted, (rydberg_ev, n)
+            table = comparison_table(math.nextafter(radius, math.inf), n, rydberg_ev)
+            assert table.omitted[-1][0] == n, (rydberg_ev, n)
