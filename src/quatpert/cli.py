@@ -9,6 +9,7 @@ grid warnings) go to stderr; data goes to --out or stdout.
 from __future__ import annotations
 
 import functools
+import math
 
 import click
 
@@ -151,10 +152,10 @@ def cmd_oracle(model, n, alpha, grid_points, order, x_min, x_max):
     from . import oracle as oracle_mod  # deferred: eigensolver stack loads only here
 
     kind = ModelKind(model)
-    base = oracle_mod.default_grid(kind, grid_points)
+    box_min, box_max = models._MODELS[kind].box  # the overrides apply before any grid check
     grid = oracle_mod.Grid1D(
-        base.x_min if x_min is None else x_min,
-        base.x_max if x_max is None else x_max,
+        box_min if x_min is None else x_min,
+        box_max if x_max is None else x_max,
         grid_points,
     )
     report = oracle_mod.oracle_compare(kind, n, alpha, grid, order)
@@ -188,11 +189,17 @@ def cmd_series(e0, w_mod, alpha, max_order):
     """Correction coefficients, terms and partial sums, one row per order."""
     spec = series.PerturbationSpec(e0=e0, w=complex(w_mod), alpha=alpha)
     evaluation = series.perturbed_energy(spec, max_order)
-    unit = series.PerturbationSpec(e0=e0, w=complex(w_mod), alpha=1.0)
-    try:  # at alpha = 1 the terms are the coefficients E_s
-        coefficients = series.perturbed_energy(unit, max_order).terms
+    # the coefficients E_s are the terms of the series at alpha = 1
+    try:
+        even = series._catalan_terms((abs(w_mod) / (2.0 * e0)) ** 2, max_order // 2)
     except ValueError as exc:
-        raise ValueError(f"coefficient column (the series at alpha = 1): {exc}") from None
+        raise ValueError(f"coefficient column: {exc}") from None
+    coefficients = []
+    for s in range(1, max_order + 1):
+        coefficient = e0 * even[s // 2 - 1] if s % 2 == 0 else 0.0
+        if not math.isfinite(coefficient):
+            raise ValueError(f"coefficient column: the order-{s} coefficient exceeds double range")
+        coefficients.append(coefficient)
     if evaluation.at_boundary:
         notes = ["|alpha*W| equals |E0|; terms no longer decay strictly"]
     elif not evaluation.in_radius:

@@ -24,12 +24,21 @@ block, so the branch overlap is the same, and since U is unitary,
 ||B U v - lambda U v|| = ||R v - lambda v|| and the column norms agree, so
 the residual gate is the same too.
 
+The bare level of H is found without bisection.  The grid level approaches
+the analytic one at O(h**2), so inverse iteration on H shifted to the
+analytic value (one tridiagonal LU factorization, three solves) converges
+to the level's vector, and the level is its Rayleigh quotient.  Its
+residual and two Sturm counts certify it (`DiscreteHamiltonian.eigenpair`);
+where the grid has moved the level past a neighbour, the iteration
+restarts once next to the bisected root.
+
 `oracle_compare` takes one eigenpair of R without computing the rest of its
 spectrum.  In the interleaved (phi1_i, phi2_i) order R is a pentadiagonal
-symmetric band.  Shifted inverse iteration with a banded solve, started at
-the value the bare level predicts, converges to an eigenvector; the
-reported eigenvalue is its Rayleigh quotient, so the prediction never
-enters the result.  The pair is certified three ways: its residual,
+symmetric band.  Shifted inverse iteration with a banded solve, shifted to
+the value the bare level predicts and started from the bare level's vector,
+converges to an eigenvector in two steps; the reported eigenvalue is its
+Rayleigh quotient, so the prediction never enters the result.  The pair is
+certified three ways: its residual,
 ||R v - lambda v|| <= 1e-8 times the largest column norm of R (a lower
 bound on ||R||); its sorted position in the spectrum, from Sylvester
 inertia counts on either side of lambda; and its branch, from the overlap
@@ -43,13 +52,14 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .models import _MODELS, LevelSpec, ModelKind, _outside, alpha_max, perturbation_spec
 from .series import RadiusError, closed_form_limit, perturbed_energy
 
-_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
+_gbtrf, _gbtrs, _gttrf, _gttrs, _stebz = get_lapack_funcs(
+    ("gbtrf", "gbtrs", "gttrf", "gttrs", "stebz"), dtype=np.float64
+)
 
 MAX_EMBEDDED_SIZE = 131072  # 2N; bounds the O(N) memory of the band solve
 
@@ -123,15 +133,70 @@ class DiscreteHamiltonian:
             raise ValueError(f"level n={n} not resolvable on this grid")
         return index
 
-    def eigenpair(self, index: int) -> tuple[float, np.ndarray]:
-        """Eigenvalue at sorted position `index` (grid units) and its vector."""
-        w, v = sla.eigh_tridiagonal(
-            self.diagonal,
-            np.full(self.size - 1, self.off_diagonal),
-            select="i",
-            select_range=(index, index),
-        )
-        return float(w[0]), v[:, 0]
+    def eigenpair(self, index: int, guess: float) -> tuple[float, np.ndarray]:
+        """Eigenvalue at sorted position `index` (grid units) and its unit vector.
+
+        Inverse iteration from `guess` (for the models, the analytic level,
+        which the grid level approaches at O(h**2)) gives the vector, and
+        its Rayleigh quotient the value.  The pair is certified by its
+        residual and by two Sturm counts that place sorted position `index`
+        in the window round the value.  If either check fails, the grid
+        has moved the level past a neighbour: the iteration restarts once
+        from the bisected root at `index`, and a second failure raises
+        OracleError.
+        """
+        off = np.full(self.size - 1, self.off_diagonal)
+        norm = _column_norm(EmbeddedOperator(self, 0.0))  # the columns of H itself
+        try:
+            return self._certified_level(index, guess, off, norm)
+        except OracleError:
+            pass
+        m, roots, _, _, info = _stebz(self.diagonal, off, 2, 0.0, 0.0, index + 1, index + 1,
+                                      0.0, "E")
+        if info != 0 or m != 1:
+            raise OracleError(f"bisection for sorted position {index} failed")
+        # Off the root by the window's floor: on the root itself a weakly
+        # coupled site leaves a pivot that overflows the solve, and a
+        # neighbour nearer than that floor would pass the window anyway
+        # (on coarse grids neighbours lie within 1e-9 of a level).
+        return self._certified_level(index, float(roots[0]) + _WINDOW_REL * norm, off, norm)
+
+    def _certified_level(self, index: int, shift: float, off: np.ndarray,
+                         norm: float) -> tuple[float, np.ndarray]:
+        """Three inverse-iteration steps at `shift` (LAPACK gttrf once, gttrs
+        per step), then the residual and Sturm-count checks of `eigenpair`;
+        `norm` is the largest column norm of H.
+
+        The start vector, a ramp, has a component along every level; a
+        constant one would miss the odd levels of a symmetric box.
+        """
+        dl, d, du, du2, ipiv, info = _gttrf(off, self.diagonal - shift, off)
+        if info != 0:
+            raise OracleError(f"tridiagonal LU factorization failed at shift {shift:.6g}")
+        v = np.linspace(1.0, 2.0, self.size)
+        for _ in range(3):
+            v = _unit(_gttrs(dl, d, du, du2, ipiv, v, overwrite_b=True)[0])
+        y = self.apply(v)
+        value = float(v @ y)
+        residual = float(np.linalg.norm(y - value * v))
+        if not residual <= _RESIDUAL_REL * norm:
+            raise OracleError(
+                f"bare-level residual exceeds {_RESIDUAL_REL:g} * ||H|| at {value:.6g}"
+            )
+        delta = max(residual, _WINDOW_REL * norm)
+        below, through = (self._count_through(off, value - delta),
+                          self._count_through(off, value + delta))
+        if not below <= index < through:
+            raise OracleError(
+                f"bare level {value:.6g}: sorted positions {below} to {through - 1} lie "
+                f"within {delta:.3g} of it; expected {index} among them"
+            )
+        return value, v
+
+    def _count_through(self, off: np.ndarray, value: float) -> int:
+        """Number of eigenvalues at or below `value`: one Sturm count (LAPACK
+        stebz over (-inf, value] with an infinite tolerance, so no bisection)."""
+        return int(_stebz(self.diagonal, off, 1, -math.inf, value, 0, 0, math.inf, "E")[0])
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         out = self.diagonal * vec
@@ -211,12 +276,27 @@ def embed(h: DiscreteHamiltonian, alpha: float, w: complex) -> EmbeddedOperator:
     return EmbeddedOperator(hamiltonian=h, coupling=abs(alpha) * abs(w))
 
 
-def _eigenvector(op: EmbeddedOperator, eigenvalue: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted inverse iteration; returns the block components (v1, v2).
+def _unit(v: np.ndarray) -> np.ndarray:
+    """`v` scaled in place to unit 2-norm."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not math.isfinite(norm):  # entries past ~1e154 overflow the sum of squares
+        v /= np.abs(v).max()
+        norm = np.linalg.norm(v)
+    v /= norm
+    return v
+
+
+def _eigenvector(op: EmbeddedOperator, eigenvalue: float,
+                 start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted inverse iteration from (start, 0); returns the block components (v1, v2).
 
     The shifted band is LU-factored once (LAPACK gbtrf, which needs two
-    rows of room above the band for the fill-in) and each of the three
-    steps is one gbtrs solve against that factorization.
+    rows of room above the band for the fill-in) and each of the two
+    steps is one gbtrs solve against that factorization.  Started from the
+    bare level's eigenvector, the iterate lies in that level's 2x2 block
+    of R but for the bare vector's own error, and the partner eigenvalue
+    of the block sits 2|lambda| from the shift.
     """
     n2 = op.size
     band = op._band()
@@ -232,16 +312,10 @@ def _eigenvector(op: EmbeddedOperator, eigenvalue: float) -> tuple[np.ndarray, n
         lu, piv, info = _gbtrf(ab, 2, 2)
     if info != 0:
         raise OracleError(f"banded LU factorization failed at shift {eigenvalue:.6g}")
-    v = np.random.default_rng(8128).standard_normal(n2)
-    v /= np.linalg.norm(v)
-    for _ in range(3):
-        v = _gbtrs(lu, 2, 2, v, piv, overwrite_b=True)[0]
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(v)
-        if not math.isfinite(norm):  # entries past ~1e154 overflow the sum of squares
-            v /= np.abs(v).max()
-            norm = np.linalg.norm(v)
-        v /= norm
+    v = np.zeros(n2)
+    v[0::2] = start
+    for _ in range(2):
+        v = _unit(_gbtrs(lu, 2, 2, v, piv, overwrite_b=True)[0])
     return v[0::2], v[1::2]
 
 
@@ -322,9 +396,11 @@ def _count_below(op: EmbeddedOperator, lower: float, upper: float) -> tuple[int,
             t -= 2.0**-50
 
 
-def _certified_eigenpair(op: EmbeddedOperator, index: int,
-                         shift: float) -> tuple[float, np.ndarray, np.ndarray, float]:
+def _certified_eigenpair(op: EmbeddedOperator, index: int, shift: float,
+                         start: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Eigenpair at sorted position `index` of the embedding, found from `shift`.
+
+    The inverse iteration starts from (start, 0); no gate depends on it.
 
     Returns (lam, v1, v2, residual): lam is the Rayleigh quotient of the
     unit inverse-iteration vector (v1, v2), and residual is ||R v - lam v||
@@ -333,7 +409,7 @@ def _certified_eigenpair(op: EmbeddedOperator, index: int,
     then shows that exactly one eigenvalue, the one at `index`, lies within
     max(||R v - lam v||, 1e-12 * norm) of lam.
     """
-    v1, v2 = _eigenvector(op, shift)
+    v1, v2 = _eigenvector(op, shift, start)
     lam, residual = _residual(op, v1, v2)
     norm = _column_norm(op)
     if residual > _RESIDUAL_REL * norm:
@@ -432,7 +508,7 @@ def oracle_compare(
     m = ham.level_index(n)
 
     e0_analytic = spec.e0
-    e0_grid, u_vec = ham.eigenpair(m)
+    e0_grid, u_vec = ham.eigenpair(m, e0_analytic * ham.level_scale)
     e0_discrete = e0_grid / ham.level_scale
     rel_grid_error = abs(e0_discrete - e0_analytic) / abs(e0_analytic)
     grid_warning = rel_grid_error > _GRID_WARNING_REL
@@ -445,7 +521,7 @@ def oracle_compare(
     try:
         # positive branch, ordering preserved; the predicted level is only the shift
         lam, v1, v2, residual = _certified_eigenpair(
-            op, ham.size + m, math.hypot(e0_grid, op.coupling)
+            op, ham.size + m, math.hypot(e0_grid, op.coupling), u_vec
         )
         overlap = float(
             abs(u_vec @ v1) / (np.linalg.norm(u_vec) * np.linalg.norm(v1))

@@ -311,6 +311,30 @@ def test_usage_errors_exit_one(run_cli):
         assert "is not in the range" in run_cli(*args, expect=1).stderr
 
 
+def test_oracle_box_overrides_apply_before_the_grid_check(run_cli):
+    # 2e77 points fit the box [0, 1e80] (h = 500) but not the default [0, 1]:
+    # the run reaches the size guard instead of naming the default box
+    proc = run_cli("oracle", "--model", "well", "--n", "1", "--alpha", "0.1",
+                   "--grid", str(2 * 10**77), "--x-max", "1e80", expect=1)
+    assert "embedded eigensolve limited" in proc.stderr
+    assert "box [" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_coefficient_column_needs_no_partial_sums(run_cli):
+    # E0 + E_2 leaves double range, but no coefficient does: the column is
+    # built from the coefficients alone, not from the series at alpha = 1
+    proc = run_cli("series", "--e0", "8.5e307", "--w", "1.317e308", "--alpha", "0.001",
+                   "--max-order", "4", expect=0)
+    _, rows = parse_csv(proc.stdout)
+    assert len(rows) == 4
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:5])
+    # a coefficient E0 * term past double range names its order
+    proc = run_cli("series", "--e0", "1e300", "--w", "1e306", "--alpha", "1e-7",
+                   "--max-order", "4", expect=1)
+    assert "coefficient column: the order-2 coefficient exceeds double range" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_io_error_exits_three(run_cli, tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     proc = run_cli(

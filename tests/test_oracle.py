@@ -15,7 +15,13 @@ from complex_embedding import (
     dense_h,
     second_block_phase,
 )
-from quatpert.models import LevelSpec, ModelKind, alpha_max, perturbation_spec
+from quatpert.models import (
+    LevelSpec,
+    ModelKind,
+    alpha_max,
+    perturbation_spec,
+    unperturbed_energy,
+)
 from quatpert.oracle import (
     MAX_EMBEDDED_SIZE,
     DiscreteHamiltonian,
@@ -35,10 +41,24 @@ from quatpert.quaternions import embed_block
 from quatpert.series import RadiusError
 
 WELL, OSC = ModelKind.WELL, ModelKind.OSCILLATOR
+# the levels of acceptance criterion 6, each at three strengths
+CRITERION_6_LEVELS = [(WELL, n) for n in range(1, 6)] + [(OSC, n) for n in range(0, 6)]
 
 
 def toy_hamiltonian(e0):
     return DiscreteHamiltonian(diagonal=np.array([float(e0)]), off_diagonal=0.0)
+
+
+def analytic_level(ham, model, n):
+    """Level n of the model in the grid units of `ham`: where its iteration starts."""
+    return unperturbed_energy(LevelSpec(model, n)) * ham.level_scale
+
+
+def bisected_level(ham, index):
+    """Reference bare level at sorted position `index`: bisection and its vector."""
+    w, v = sla.eigh_tridiagonal(ham.diagonal, np.full(ham.size - 1, ham.off_diagonal),
+                                select="i", select_range=(index, index))
+    return float(w[0]), v[:, 0]
 
 
 def test_grid_validation():
@@ -74,7 +94,7 @@ def test_grid_validation():
 
 def test_well_discretization_reaches_pi_squared():
     ham = discretize(WELL, Grid1D(0.0, 1.0, 2000))
-    lowest = [ham.eigenpair(i)[0] for i in (0, 1)]
+    lowest = [ham.eigenpair(i, analytic_level(ham, WELL, i + 1))[0] for i in (0, 1)]
     assert lowest[0] == pytest.approx(math.pi**2, rel=1e-3)
     assert lowest[1] / lowest[0] == pytest.approx(4.0, rel=1e-3)
     assert ham.level_scale == pytest.approx(math.pi**2)
@@ -82,7 +102,7 @@ def test_well_discretization_reaches_pi_squared():
 
 def test_oscillator_discretization_reaches_half_quantum():
     ham = discretize(OSC, default_grid(OSC, 1500))
-    lowest = ham.eigenpair(0)[0]
+    lowest = ham.eigenpair(0, analytic_level(ham, OSC, 0))[0]
     assert lowest / ham.level_scale == pytest.approx(0.5, rel=1e-3)
 
 
@@ -177,8 +197,8 @@ def test_oracle_compare_zero_strength():
     assert report.passed and not report.grid_warning
     assert report.closed_form == report.series_value == report.e0_analytic == 1.0
     assert report.oracle_value == pytest.approx(1.0, rel=1e-5)
-    # bisection (bare level) and band reduction (embedding) agree far below
-    # the stencil error
+    # inverse iteration on H (bare level) and on the band (embedding) agree
+    # far below the stencil error
     assert report.e0_discrete == pytest.approx(report.oracle_value, rel=1e-9)
 
 
@@ -269,8 +289,8 @@ def test_residual_certification_rejects_a_poor_eigenvector(monkeypatch):
     inverse_iteration = oracle_mod._eigenvector
     rng = np.random.default_rng(35)
 
-    def perturbed(op, eigenvalue):
-        v1, v2 = inverse_iteration(op, eigenvalue)
+    def perturbed(op, eigenvalue, start):
+        v1, v2 = inverse_iteration(op, eigenvalue, start)
         v1 = v1 + 1e-3 * rng.standard_normal(v1.size)
         norm = math.hypot(np.linalg.norm(v1), np.linalg.norm(v2))
         return v1 / norm, v2 / norm
@@ -284,25 +304,111 @@ def test_branch_matching_rejects_the_wrong_level(monkeypatch):
     grid = Grid1D(0.0, 1.0, 200)
     eigenvector = oracle_mod._eigenvector
     eigenpair = DiscreteHamiltonian.eigenpair
+    ham = discretize(WELL, grid)
+    e2, u2 = ham.eigenpair(1, analytic_level(ham, WELL, 2))
     # inverse iteration steered to the n = 2 pair: the inertia count rejects it
-    e2 = discretize(WELL, grid).eigenpair(1)[0]
     with monkeypatch.context() as patch:
         patch.setattr(oracle_mod, "_eigenvector",
-                      lambda op, shift: eigenvector(op, math.hypot(e2, abs(op.coupling))))
+                      lambda op, shift, start: eigenvector(
+                          op, math.hypot(e2, abs(op.coupling)), start))
         with pytest.raises(OracleError, match="branch matching failed: .* expected one"):
             oracle_compare(WELL, 1, 0.2, grid)
     # the right bare level with the n = 2 eigenvector: the overlap rejects it
     with monkeypatch.context() as patch:
         patch.setattr(DiscreteHamiltonian, "eigenpair",
-                      lambda self, index: (eigenpair(self, index)[0], eigenpair(self, index + 1)[1]))
+                      lambda self, index, guess: (eigenpair(self, index, guess)[0], u2))
         with pytest.raises(OracleError, match=r"branch matching failed for well n=1 \(overlap"):
             oracle_compare(WELL, 1, 0.2, grid)
     # the n = 2 bare level as a whole is off its analytic value by 300%: that
     # grid FAIL stands in for the certification error
-    monkeypatch.setattr(DiscreteHamiltonian, "eigenpair",
-                        lambda self, index: eigenpair(self, index + 1))
+    monkeypatch.setattr(DiscreteHamiltonian, "eigenpair", lambda self, index, guess: (e2, u2))
     report = oracle_compare(WELL, 1, 0.2, grid)
     assert report.grid_warning and not report.passed and report.oracle_value is None
+
+
+def _recorded_stebz_ranges(monkeypatch):
+    """Patch the oracle's stebz to record its range argument: 1 a count, 2 a bisection."""
+    ranges = []
+    stebz = oracle_mod._stebz
+
+    def recording(*args):
+        ranges.append(args[2])
+        return stebz(*args)
+
+    monkeypatch.setattr(oracle_mod, "_stebz", recording)
+    return ranges
+
+
+@pytest.mark.parametrize("n_points", [500, 1000, 2000])
+def test_bare_level_matches_bisection(n_points, monkeypatch):
+    # the 33 criterion-6 cases: the Rayleigh quotient from the analytic level
+    # and bisection agree within the roundoff scale eps*||H||/E, and no case
+    # needs the restart at the bisected root
+    ranges = _recorded_stebz_ranges(monkeypatch)
+    eps = np.finfo(float).eps
+    for model, n in CRITERION_6_LEVELS:
+        grid = default_grid(model, n_points)
+        ham = discretize(model, grid)
+        reference, vector = bisected_level(ham, ham.level_index(n))
+        norm = float(np.abs(ham.diagonal).max()) + 2.0 * abs(ham.off_diagonal)
+        value, u_vec = ham.eigenpair(ham.level_index(n), analytic_level(ham, model, n))
+        assert abs(u_vec @ vector) == pytest.approx(1.0, abs=1e-10)
+        for fraction in (0.1, 0.5, 0.9):
+            report = oracle_compare(model, n, fraction * alpha_max(model, n), grid)
+            assert report.e0_discrete == value / ham.level_scale
+        assert abs(value - reference) <= eps * norm
+    assert ranges and 2 not in ranges
+
+
+def test_bare_level_on_the_largest_grid():
+    # N = 65536: the Rayleigh quotient sits on the exact discrete level
+    # (4/h**2) sin**2(n pi h / 2L), in model units (bisection to eps*||H||
+    # was 1.1e-8 off); both models still pass there
+    grid = Grid1D(0.0, 1.0, 65536)
+    report = oracle_compare(WELL, 1, 0.25, grid)
+    exact = 4.0 / grid.h**2 * math.sin(math.pi * grid.h / 2.0) ** 2 / math.pi**2
+    assert abs(report.e0_discrete - exact) <= 1e-10
+    assert report.passed
+    assert oracle_compare(OSC, 2, 0.5, default_grid(OSC, 65536)).passed
+
+
+def test_bare_level_falls_back_to_the_bisected_root(monkeypatch):
+    ranges = _recorded_stebz_ranges(monkeypatch)
+    grid = Grid1D(0.0, 1.0, 200)
+    ham = discretize(WELL, grid)
+    reference, vector = bisected_level(ham, 0)
+    roundoff = np.finfo(float).eps * 4.0 / grid.h**2  # eps * ||H||
+    # started at level 2's value, the iteration finds level 2; the window
+    # counts reject it, and the restart next to the bisected root finds level 1
+    value, u_vec = ham.eigenpair(0, bisected_level(ham, 1)[0])
+    assert ranges == [1, 1, 2, 1, 1]
+    assert abs(value - reference) <= roundoff
+    assert abs(u_vec @ vector) == pytest.approx(1.0, abs=1e-10)
+    # a guess above the whole spectrum also ends at the bisected root
+    ranges.clear()
+    assert abs(ham.eigenpair(0, 1e10)[0] - reference) <= roundoff
+    assert ranges[-3:] == [2, 1, 1]
+
+
+def test_fallback_cases_keep_their_bare_level(monkeypatch):
+    # --grid 3 (the guess converges to level 0) and the +-5e75 box (three
+    # steps leave 1e-3 of the neighbouring sites, past the residual gate)
+    # both restart at the bisected root, and the bare level stays the
+    # bisected one to roundoff: the grid FAIL reads the same.  At --grid 5
+    # level n = 4 lies 2e-9 (relative) above n = 3: a restart shifted a
+    # relative 1e-9 off the root would find it and exit 1
+    ranges = _recorded_stebz_ranges(monkeypatch)
+    eps = np.finfo(float).eps
+    for n, alpha, grid in [(2, 0.1, default_grid(OSC, 3)), (0, 0.5, Grid1D(-5e75, 5e75, 100)),
+                           (3, 0.1, default_grid(OSC, 5))]:
+        ranges.clear()
+        ham = discretize(OSC, grid)
+        reference = bisected_level(ham, ham.level_index(n))[0]
+        norm = float(np.abs(ham.diagonal).max()) + 2.0 * abs(ham.off_diagonal)
+        report = oracle_compare(OSC, n, alpha, grid)
+        assert ranges == [2, 1, 1]
+        assert abs(report.e0_discrete * ham.level_scale - reference) <= eps * norm
+        assert report.grid_warning and not report.passed
 
 
 def test_inertia_count_matches_the_full_spectrum():
@@ -344,14 +450,15 @@ def test_real_form_is_similar_to_the_complex_embedding(n_points):
     eps = np.finfo(float).eps
     for model in (WELL, OSC):
         ham = discretize(model, default_grid(model, n_points))
-        e0, u_vec = ham.eigenpair(0)
+        e0, u_vec = ham.eigenpair(0, analytic_level(ham, model, ham.n_min))
         for phase in (0.0, 0.7, math.pi / 2, 2.5, math.pi):
             alpha, w = 0.4, 1.3 * ham.level_scale * cmath.exp(1j * phase)
             op, b, u = embed(ham, alpha, w), dense_b(ham, alpha, w), second_block_phase(alpha, w)
             eigs, vectors = np.linalg.eigh(b)
             assert sla.eig_banded(op._band(), eigvals_only=True) == pytest.approx(eigs, rel=1e-12)
             index = ham.size
-            lam, v1, v2, residual = _certified_eigenpair(op, index, math.hypot(e0, op.coupling))
+            lam, v1, v2, residual = _certified_eigenpair(op, index, math.hypot(e0, op.coupling),
+                                                         u_vec)
             norm = _column_norm(op)
             uv = np.concatenate([v1, u * v2])
             # the certified residual is at roundoff, so B and R agree to roundoff there
@@ -406,8 +513,7 @@ def test_column_norm_is_a_lower_bound_on_the_norm():
 
 def test_targeted_eigenvalue_matches_the_full_spectrum():
     # the 33 criterion-6 cases, at N = 500
-    cases = [(WELL, n) for n in range(1, 6)] + [(OSC, n) for n in range(0, 6)]
-    for model, n in cases:
+    for model, n in CRITERION_6_LEVELS:
         for fraction in (0.1, 0.5, 0.9):
             alpha = fraction * alpha_max(model, n)
             grid = default_grid(model, 500)
@@ -431,11 +537,11 @@ def test_oracle_compare_never_computes_the_full_spectrum(monkeypatch):
     assert report.overlap >= 0.99
 
 
-def _three_banded_solves(ham, alpha, w, shift):
+def _two_banded_solves(ham, alpha, w, shift, start):
     """Reference inverse iteration on the complex band of B.
 
-    Three solve_banded calls on the shifted band, each factoring it again,
-    started from U v0, where v0 is the real start vector of the oracle.
+    Two solve_banded calls on the shifted band, each factoring it again,
+    started from (start, 0), which U leaves as it is.
     """
     band = complex_band(ham, alpha, w)
     ab = np.zeros((5, 2 * ham.size), dtype=complex)
@@ -443,27 +549,27 @@ def _three_banded_solves(ham, alpha, w, shift):
     for k in (1, 2):
         ab[2 - k, k:] = band[2 - k, k:]
         ab[2 + k, :-k] = np.conj(band[2 - k, k:])
-    v = np.random.default_rng(8128).standard_normal(2 * ham.size).astype(complex)
-    v[1::2] *= second_block_phase(alpha, w)
-    v /= np.linalg.norm(v)
-    for _ in range(3):
+    v = np.zeros(2 * ham.size, dtype=complex)
+    v[0::2] = start
+    for _ in range(2):
         v = sla.solve_banded((2, 2), ab, v)
         v /= np.linalg.norm(v)
     return v[0::2], v[1::2]
 
 
-def test_inverse_iteration_matches_three_banded_solves():
-    # one real LU factorization reused by three solves gives, mapped by U,
-    # the vector of three complex solves on B that each factor the band again
+def test_inverse_iteration_matches_two_banded_solves():
+    # one real LU factorization reused by two solves gives, mapped by U,
+    # the vector of two complex solves on B that each factor the band again
     for model, n, phase in [(WELL, 1, 0.0), (OSC, 2, 2.5)]:
         alpha = 0.5 * alpha_max(model, n)
         ham = discretize(model, default_grid(model, 301))
         w = perturbation_spec(LevelSpec(model, n), alpha).w * ham.level_scale * cmath.exp(1j * phase)
         op = embed(ham, alpha, w)
-        shift = math.hypot(ham.eigenpair(ham.level_index(n))[0], op.coupling)
-        v1, v2 = oracle_mod._eigenvector(op, shift)
+        e0, u_vec = ham.eigenpair(ham.level_index(n), analytic_level(ham, model, n))
+        shift = math.hypot(e0, op.coupling)
+        v1, v2 = oracle_mod._eigenvector(op, shift, u_vec)
         got = np.concatenate([v1, second_block_phase(alpha, w) * v2])
-        want = np.concatenate(_three_banded_solves(ham, alpha, w, shift))
+        want = np.concatenate(_two_banded_solves(ham, alpha, w, shift, u_vec))
         # the near-singular complex solves leave a unit phase of roundoff on the vector
         overlap = np.vdot(want, got)
         assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
@@ -482,7 +588,7 @@ def test_inverse_iteration_nudges_an_exactly_singular_shift(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_gbtrf", recording)
     three_sites = DiscreteHamiltonian(diagonal=np.array([1.0, 2.0, 3.0]), off_diagonal=0.0)
     op = embed(three_sites, 0.0, 0.0)  # spectrum -3, -2, -1, 1, 2, 3
-    v1, v2 = oracle_mod._eigenvector(op, 2.0)
+    v1, v2 = oracle_mod._eigenvector(op, 2.0, np.full(3, 3**-0.5))
     assert infos[0] > 0 and infos[1:] == [0]
     v = np.concatenate([v1, v2])
     assert np.all(np.isfinite(v))
