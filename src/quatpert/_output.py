@@ -20,7 +20,7 @@ import sys
 import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import repeat
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,6 @@ def _json_column(column: tuple, precision: int) -> Iterable:
     return [_json_cell(v, precision) for v in column]
 
 
-def _csv_runs(rows, precision: int):
-    """The data lines of each run of equal-length rows, converted column by
-    column and formatted with one %-format per row."""
-    for width, run in groupby(rows, len):
-        if not width:
-            yield "\n".join("" for _ in run)
-            continue
-        specs, columns = zip(*(_csv_column(c, precision) for c in zip(*run)))
-        yield "\n".join(map(",".join(specs).__mod__, zip(*columns)))
-
-
 # The C encoder writes a one-line array whose item separator already holds
 # the newline and indentation that json.dumps(indent=2) puts before a cell
 # of a row; a second one does the same for the column names.  A table of
@@ -104,33 +93,28 @@ def _array(items: str, indent: str) -> str:
     return f"[\n{indent}  {items}\n{indent}]" if items else "[]"
 
 
-def _json_rows(rows, precision: int):
-    """Laid-out rows, one encoder call per run of equal-length rows.
-
-    Cells are scalars, so the encoded run holds "],<separator>[" only
-    between two rows.
-    """
-    for width, run in groupby(rows, len):
-        if not width:
-            yield from ("[]" for _ in run)
-            continue
-        columns = [_json_column(c, precision) for c in zip(*run)]
-        text = _ROW_ENCODER.encode(list(zip(*columns)))[2:-2]
-        yield _array(text.replace("],\n      [", "\n    ],\n    [\n      "), "    ")
-
-
 def render(spec: OutputSpec, columns: list[str], rows: list[list]) -> str:
     """The table as text; cells are None, bool, int, float or str.
 
-    CSV floats print with `precision` places.  JSON is byte for byte
+    The table is rectangular: every row holds one cell per column, and a
+    table with rows has at least one column.  CSV floats print with
+    `precision` places.  JSON is byte for byte
     json.dumps({"columns": columns, "rows": rows}, indent=2) + "\\n" with
     the floats rounded to `precision` places.
     """
+    cells = list(zip(*rows))  # column by column; empty when there are no rows
     if spec.fmt == "csv":
-        return "\n".join([",".join(columns), *_csv_runs(rows, spec.precision)]) + "\n"
+        lines = [",".join(columns)]
+        if cells:
+            formats, converted = zip(*(_csv_column(c, spec.precision) for c in cells))
+            lines.append("\n".join(map(",".join(formats).__mod__, zip(*converted))))
+        return "\n".join(lines) + "\n"
     names = _array(_COLUMNS_ENCODER.encode(columns)[1:-1], "  ")
-    body = _array(",\n    ".join(_json_rows(rows, spec.precision)), "  ")
-    return f'{{\n  "columns": {names},\n  "rows": {body}\n}}\n'
+    body = ""
+    if cells:  # cells are scalars: the encoded rows hold "],<separator>[" only between rows
+        text = _ROW_ENCODER.encode(list(zip(*(_json_column(c, spec.precision) for c in cells))))
+        body = _array(text[2:-2].replace("],\n      [", "\n    ],\n    [\n      "), "    ")
+    return f'{{\n  "columns": {names},\n  "rows": {_array(body, "  ")}\n}}\n'
 
 
 def write_output(spec: OutputSpec, columns: list[str], rows: list[list]) -> None:

@@ -9,7 +9,6 @@ grid warnings) go to stderr; data goes to --out or stdout.
 from __future__ import annotations
 
 import functools
-import math
 
 import click
 
@@ -65,6 +64,14 @@ def table_command(name, columns):
 
 quantum_number = click.IntRange(max=100000)  # lower bounds are the models' own
 
+
+def _check_table_size(flag, count, size_flag, size):
+    """Refuse more than 10**6 rows: `count` repeats of `flag` times `size` rows each."""
+    if count * size > 10**6:
+        raise ValueError(f"{count} {flag} values x {size_flag} {size} = {count * size} rows; "
+                         "a table holds at most 1000000")
+
+
 precise_rydberg = click.option(
     "--precise-rydberg",
     "ry",
@@ -92,6 +99,7 @@ precise_rydberg = click.option(
 @click.option("--max-order", type=click.IntRange(1, 50000), default=30, show_default=True)
 def cmd_sigma(model, n, alphas, max_order):
     """Gap ratio sigma versus truncation order, one row per (alpha, order)."""
+    _check_table_size("--alpha", len(alphas), "--max-order", max_order)
     result = models.sigma_curve(ModelKind(model), n, list(alphas), max_order)
     skipped = [f"skipped alpha={alpha:.6g}: {reason}" for alpha, reason in result.skipped]
     return result.rows, skipped + list(result.notes), None
@@ -127,6 +135,7 @@ def cmd_hydrogen_table(alphaw, n_max, ry):
 @precise_rydberg
 def cmd_levels(n_list, samples, ry):
     """Hydrogen level curves over the admissible coupling range, in eV."""
+    _check_table_size("--n", len(n_list), "--samples", samples)
     return relativistic.hydrogen_levels_vs_potential(list(n_list), samples, ry), [], None
 
 
@@ -189,17 +198,10 @@ def cmd_series(e0, w_mod, alpha, max_order):
     """Correction coefficients, terms and partial sums, one row per order."""
     spec = series.PerturbationSpec(e0=e0, w=complex(w_mod), alpha=alpha)
     evaluation = series.perturbed_energy(spec, max_order)
-    # the coefficients E_s are the terms of the series at alpha = 1
-    try:
-        even = series._catalan_terms((abs(w_mod) / (2.0 * e0)) ** 2, max_order // 2)
+    try:  # the coefficients E_s are the terms of the series at alpha = 1
+        coefficients = series._order_terms(e0, abs(w_mod) / (2.0 * e0), max_order)
     except ValueError as exc:
         raise ValueError(f"coefficient column: {exc}") from None
-    coefficients = []
-    for s in range(1, max_order + 1):
-        coefficient = e0 * even[s // 2 - 1] if s % 2 == 0 else 0.0
-        if not math.isfinite(coefficient):
-            raise ValueError(f"coefficient column: the order-{s} coefficient exceeds double range")
-        coefficients.append(coefficient)
     if evaluation.at_boundary:
         notes = ["|alpha*W| equals |E0|; terms no longer decay strictly"]
     elif not evaluation.in_radius:

@@ -48,7 +48,6 @@ of the first block with the unperturbed eigenvector of H.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,16 +88,6 @@ class Grid1D:
             raise ValueError("x_max must exceed x_min")
         if self.n_points < 3:
             raise ValueError("n_points must be >= 3")
-        # the eigensolvers square the stencil entries; 4/h**2 bounds them (Gershgorin)
-        h2 = self.h * self.h
-        h4 = h2 * h2
-        if not (h4 > 0.0 and sys.float_info.min <= 1.0 / h4
-                and (4.0 / h2) * (4.0 / h2) < math.inf):
-            raise ValueError(
-                f"box [{self.x_min:.6g}, {self.x_max:.6g}] at N = {self.n_points}: "
-                f"grid spacing {self.h:.6g} leaves (4/h**2)**2 or 1/h**4 "
-                "outside the normal double range"
-            )
 
     @property
     def h(self) -> float:
@@ -220,20 +209,26 @@ def discretize(model: ModelKind, grid: Grid1D) -> DiscreteHamiltonian:
     (n + 1/2) * E_omega (oscillator).  The oscillator grid should span the
     relevant turning points with room for the Gaussian tails; [-8, 8]
     covers the first handful of levels to well below the stencil error.
+    The eigensolvers square the stencil entries, so a box whose 1/h**4 is
+    not a normal double (h**4 above 2**1022), or whose Gershgorin bound
+    4/h**2 + max V does not square to a finite one, raises ValueError
+    naming the box.
     """
     model = _grid_model(model)
     h = grid.h
+    h2 = h * h
+    edge = max(abs(grid.x_min), abs(grid.x_max))
+    v_max = edge * edge if model is ModelKind.OSCILLATOR else 0.0
+    if not (0.0 < h2 * h2 <= 2.0**1022 and (bound := 4.0 / h2 + v_max) * bound < math.inf):
+        raise ValueError(
+            f"box [{grid.x_min:.6g}, {grid.x_max:.6g}] at N = {grid.n_points}: grid "
+            f"spacing {h:.6g} leaves 1/h**4 or the squared {model.value} stencil "
+            "bound 4/h**2 + max V outside the normal double range"
+        )
     if model is ModelKind.WELL:
         diag = np.full(grid.n_points, 2.0 / h**2)
         level_scale = math.pi**2 / (grid.x_max - grid.x_min) ** 2
     else:
-        edge = max(abs(grid.x_min), abs(grid.x_max))
-        bound = 4.0 / h**2 + edge * edge  # Gershgorin bound on the stencil rows
-        if not math.isfinite(bound * bound):
-            raise ValueError(
-                f"box [{grid.x_min:.6g}, {grid.x_max:.6g}]: the oscillator stencil "
-                "bound 4/h**2 + x**2 leaves double range when squared"
-            )
         diag = 2.0 / h**2 + grid.points() ** 2
         level_scale = 2.0
     return DiscreteHamiltonian(diag, -1.0 / h**2, level_scale, _MODELS[model].n_min)

@@ -33,7 +33,9 @@ concurrent callers never share state.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 class RadiusError(ValueError):
@@ -96,10 +98,6 @@ class SeriesEvaluation:
         """Partial sum at the highest requested order."""
         return self.partial_sums[-1]
 
-    @property
-    def max_order(self) -> int:
-        return len(self.terms)
-
 
 def catalan(n: int) -> int:
     """n-th Catalan number 1, 1, 2, 5, 14, ... in exact integer arithmetic."""
@@ -142,19 +140,43 @@ def _catalan_terms(x: float, count: int) -> list[float]:
     return terms
 
 
+def _check_range(values: Sequence[float], what: str, step: int = 1) -> None:
+    """Raise ValueError naming the first order whose value leaves double
+    range; entry k of `values` belongs to order step * (k + 1)."""
+    if not all(map(math.isfinite, values)):
+        k = next(k for k, value in enumerate(values) if not math.isfinite(value))
+        raise ValueError(f"the order-{step * (k + 1)} {what} exceeds double range")
+
+
+def _order_terms(e0: float, ratio: float, max_order: int) -> list[float]:
+    """e0 times the Catalan term of ratio**2 at each even order, 0.0 at each odd one.
+
+    Entry s - 1 belongs to order s = 1..max_order.  With ratio =
+    alpha*|W|/2E these are the series terms alpha**s * E_s, with ratio =
+    |W|/2E the coefficients E_s.  A value outside double range raises
+    ValueError naming the first order that leaves it.
+    """
+    try:
+        x = ratio**2
+    except OverflowError:  # the order-2 term leaves double range with it
+        x = math.inf
+    even = [e0 * term for term in _catalan_terms(x, max_order // 2)]
+    _check_range(even, "coefficient", step=2)
+    terms = [0.0] * max_order
+    terms[1::2] = even
+    return terms
+
+
 def correction_coefficient_closed(spec: PerturbationSpec, s: int) -> float:
     """Coefficient E_s of alpha**s from the closed formula.
 
     Odd orders vanish identically; even orders s = 2t evaluate
     (-1)**(t+1) * Cat(t-1) * |W|**(2t) / (2E)**(2t-1) through
-    :func:`_catalan_terms`.
+    :func:`_order_terms`, which names the first order past double range.
     """
     if s < 1:
         raise ValueError("order must be >= 1")
-    if s % 2 == 1:
-        return 0.0
-    rho2 = (spec.w_magnitude / (2.0 * spec.e0)) ** 2
-    return spec.e0 * _catalan_terms(rho2, s // 2)[-1]
+    return _order_terms(spec.e0, spec.w_magnitude / (2.0 * spec.e0), s)[-1]
 
 
 def correction_coefficient_recurrence(spec: PerturbationSpec, s: int) -> float:
@@ -163,7 +185,8 @@ def correction_coefficient_recurrence(spec: PerturbationSpec, s: int) -> float:
     Seeds E_2 = |W|**2 / 2E and builds upward through
     2E * E_2s = - sum_{t} E_2t * E_2(s-t); lower orders are memoized in a
     local table, so the call is safe under concurrent use.  Agrees with
-    :func:`correction_coefficient_closed` at every order.
+    :func:`correction_coefficient_closed` at every order, and like it
+    raises ValueError naming the first order that leaves double range.
     """
     if s < 1:
         raise ValueError("order must be >= 1")
@@ -171,12 +194,16 @@ def correction_coefficient_recurrence(spec: PerturbationSpec, s: int) -> float:
         return 0.0
     t_max = s // 2
     e = [0.0] * (t_max + 1)  # e[t] holds E_{2t}
-    e[1] = spec.w_magnitude**2 / (2.0 * spec.e0)
+    try:
+        e[1] = spec.w_magnitude**2 / (2.0 * spec.e0)
+    except OverflowError:  # |W|**2 itself leaves double range
+        e[1] = math.inf
     for t in range(2, t_max + 1):
         conv = 0.0
         for j in range(1, t):
             conv += e[j] * e[t - j]
         e[t] = -conv / (2.0 * spec.e0)
+    _check_range(e[1:], "coefficient", step=2)
     return e[t_max]
 
 
@@ -220,24 +247,15 @@ def perturbed_energy(spec: PerturbationSpec, max_order: int = 100) -> SeriesEval
     """
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
-    x = (spec.alpha * spec.w_magnitude / (2.0 * spec.e0)) ** 2
-    even = _catalan_terms(x, max_order // 2)
-    terms: list[float] = []
-    partial_sums: list[float] = []
-    total = spec.e0
-    for s in range(1, max_order + 1):
-        term = spec.e0 * even[s // 2 - 1] if s % 2 == 0 else 0.0
-        total += term
-        if not math.isfinite(total):
-            raise ValueError(f"the order-{s} partial sum exceeds double range")
-        terms.append(term)
-        partial_sums.append(total)
+    terms = _order_terms(spec.e0, spec.alpha * spec.w_magnitude / (2.0 * spec.e0), max_order)
+    partial_sums = tuple(accumulate(terms, initial=spec.e0))[1:]
+    _check_range(partial_sums, "partial sum")
     in_radius = is_convergent(spec)
     at_boundary = spec.coupling == abs(spec.e0)
     limit = closed_form_limit(spec) if in_radius else math.nan
     return SeriesEvaluation(
         terms=tuple(terms),
-        partial_sums=tuple(partial_sums),
+        partial_sums=partial_sums,
         in_radius=in_radius,
         at_boundary=at_boundary,
         limit_estimate=limit,

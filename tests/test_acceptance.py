@@ -31,6 +31,7 @@ import time
 import numpy as np
 
 from complex_embedding import all_eigenvalues
+from hydrogen_reference import HYDROGEN_TABLE
 from quatpert.models import (
     ModelKind,
     alpha_max,
@@ -51,15 +52,6 @@ from quatpert.series import (
 
 HYD, WELL, OSC = ModelKind.HYDROGEN, ModelKind.WELL, ModelKind.OSCILLATOR
 
-REFERENCE_TABLE = {
-    1: (-13.60000, -13.60090, -13.60083),
-    2: (-3.40000, -3.40015, -3.40331),
-    3: (-1.51111, -1.51116, -1.51854),
-    4: (-0.85000, -0.85002, -0.86313),
-    5: (-0.54400, -0.54401, -0.56430),
-}
-
-
 def announce(number, label, ok):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {label}")
     return ok
@@ -76,7 +68,7 @@ def test_criterion_1_hydrogen_table(run_cli):
         values = list(map(float, row[1:4]))
         # digit for digit at the five printed decimals
         ok &= all(
-            abs(got - want) <= 5e-6 for got, want in zip(values, REFERENCE_TABLE[n])
+            abs(got - want) <= 5e-6 for got, want in zip(values, HYDROGEN_TABLE[n])
         )
         closed = -math.hypot(13.6 / n**2, 0.15)
         ok &= abs(values[2] - closed) <= 1e-4
@@ -285,11 +277,11 @@ def test_criterion_9_hydrogen_gap_direction_as_stated():
                 f"contraction does not grow with strength at n = {n}: "
                 f"{ratios[n, 0.8]} at 0.8 vs {ratios[n, 0.4]} at 0.4 of the bound"
             )
-    # REFERENCE_TABLE columns: bare, relativistic, quaternionic
+    # HYDROGEN_TABLE columns: bare, relativistic, quaternionic
     table_ratios = []
     for n in range(1, 5):
         bare, rel, quat = (
-            REFERENCE_TABLE[n + 1][k] - REFERENCE_TABLE[n][k] for k in range(3)
+            HYDROGEN_TABLE[n + 1][k] - HYDROGEN_TABLE[n][k] for k in range(3)
         )
         table_ratios.append((quat / bare, rel / bare))
         if not quat < bare < rel:

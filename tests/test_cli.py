@@ -6,10 +6,12 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 import quatpert
+from hydrogen_reference import HYDROGEN_TABLE
 
 
 def parse_csv(text):
@@ -23,17 +25,10 @@ def test_hydrogen_table_reproduces_reference(run_cli):
     assert header == [
         "n", "E_complex_eV", "E_relativistic_eV", "E_quaternionic_eV", "alphaW_eV",
     ]
-    reference = {
-        1: (-13.60000, -13.60090, -13.60083),
-        2: (-3.40000, -3.40015, -3.40331),
-        3: (-1.51111, -1.51116, -1.51854),
-        4: (-0.85000, -0.85002, -0.86313),
-        5: (-0.54400, -0.54401, -0.56430),
-    }
     assert len(rows) == 5
     for row in rows:
         n = int(row[0])
-        for got, want in zip(map(float, row[1:4]), reference[n]):
+        for got, want in zip(map(float, row[1:4]), HYDROGEN_TABLE[n]):
             assert abs(got - want) <= 5e-6
 
 
@@ -335,6 +330,29 @@ def test_coefficient_column_needs_no_partial_sums(run_cli):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def test_coefficient_ratio_past_double_range_exits_one(run_cli):
+    # (|W|/2E0)**2 itself overflows: exit 1 naming the order, no traceback
+    proc = run_cli("series", "--e0", "1", "--w", "1e200", "--alpha", "1e-300", expect=1)
+    assert "coefficient column: the order-2 series term exceeds double range" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_table_rows_are_bounded_before_any_work(run_cli):
+    # repeated --n or --alpha multiplies the rows; above 10**6 the command
+    # exits 1 naming the product, before computing a row
+    for args, product in [
+        (("levels", *["--n", "1"] * 11, "--samples", "100000"),
+         "11 --n values x --samples 100000 = 1100000 rows"),
+        (("sigma", "--model", "well", "--n", "1", *["--alpha", "0.1"] * 21,
+          "--max-order", "50000"),
+         "21 --alpha values x --max-order 50000 = 1050000 rows"),
+    ]:
+        start = time.perf_counter()
+        proc = run_cli(*args, "--format", "json", expect=1)
+        assert time.perf_counter() - start < 0.5
+        assert product in proc.stderr and proc.stdout == ""
+
+
 def test_io_error_exits_three(run_cli, tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     proc = run_cli(
@@ -371,14 +389,16 @@ README_COMMANDS = {
 }
 
 
-def test_readme_commands_match_golden_outputs(run_cli, tmp_path):
+def test_readme_commands_match_golden_outputs(tmp_path):
     # tests/data/<command>.<format> pins, byte for byte, what each README
-    # command printed (levels: the file its --out wrote) when the files were made
+    # command printed (levels: the file its --out wrote) when the files were
+    # made; each runs as `python -m quatpert` in a fresh interpreter
     for name, args in README_COMMANDS.items():
         for fmt in ("csv", "json"):
             out = tmp_path / "levels.csv"
             extra = ("--out", str(out)) if name == "levels" else ()
-            proc = run_cli(*args, *extra, "--format", fmt, expect=0)
+            proc = run_python("-m", "quatpert", *args, *extra, "--format", fmt)
+            assert proc.returncode == 0, proc.stderr
             text = out.read_text() if name == "levels" else proc.stdout
             if name == "levels":
                 assert proc.stdout == ""
@@ -412,11 +432,11 @@ def test_help_lists_output_options_after_own_options(run_cli):
         assert options[-4:] == ["--format", "--out", "--precision", "--help"], text
 
 
-def run_python(script):
-    """Run `script` in a fresh interpreter that imports this checkout's quatpert."""
+def run_python(*argv):
+    """Run a fresh interpreter with `argv`, importing this checkout's quatpert."""
     src = os.path.dirname(os.path.dirname(quatpert.__file__))
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
@@ -447,10 +467,10 @@ assert "scipy" in sys.modules
 assert len(set(quatpert.__all__)) == len(quatpert.__all__)
 assert oracle_names <= set(quatpert.__all__)
 """
-    proc = run_python(script)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     # an oracle name alone, without embed_block, loads numpy too
-    proc = run_python("import sys, quatpert; quatpert.Grid1D; assert 'numpy' in sys.modules")
+    proc = run_python("-c", "import sys, quatpert; quatpert.Grid1D; assert 'numpy' in sys.modules")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -468,6 +488,6 @@ for argv in [
 loaded = sorted({{name.split(".")[0] for name in sys.modules}} & {{"numpy", "scipy"}})
 assert not loaded, loaded
 """
-    proc = run_python(script)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "levels.csv").read_text().startswith("n,alphaW_eV,")

@@ -66,20 +66,24 @@ def test_grid_validation():
         Grid1D(0.0, 0.0, 100)
     with pytest.raises(ValueError):
         Grid1D(0.0, 1.0, 2)
-    # edges must be finite, and 1/h**4 a finite normal double
-    for x_min, x_max in [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
-                         (-1e308, 1e308), (0.0, 1e200), (0.0, 1e-300)]:
+    # edges must be finite
+    for x_min, x_max in [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)]:
         with pytest.raises(ValueError):
             Grid1D(x_min, x_max, 100)
-    for x_max in (1e100, 1e-100):
-        with pytest.raises(ValueError, match=re.escape(f"box [0, {x_max:g}]")):
-            Grid1D(0.0, x_max, 100)
-    # LAPACK squares the stencil, so the Gershgorin bound 4/h**2 must square
-    # to a finite double: at 1/h**4 = 1e308 the grid level came out 2067
-    # (N = 100) and 203048 (N = 1000) times its analytic value
-    for x_max, n_points in [(1.01e-75, 100), (1.001e-74, 1000)]:
-        with pytest.raises(ValueError, match=re.escape(f"box [0, {x_max:g}]")):
-            Grid1D(0.0, x_max, n_points)
+    # discretize: 1/h**4 must be a finite normal double, for either model
+    for model in (WELL, OSC):
+        for x_min, x_max in [(-1e308, 1e308), (0.0, 1e200), (0.0, 1e-300)]:
+            with pytest.raises(ValueError):
+                discretize(model, Grid1D(x_min, x_max, 100))
+        for x_max in (1e100, 1e-100):
+            with pytest.raises(ValueError, match=re.escape(f"box [0, {x_max:g}]")):
+                discretize(model, Grid1D(0.0, x_max, 100))
+        # LAPACK squares the stencil, so the Gershgorin bound 4/h**2 must square
+        # to a finite double: at 1/h**4 = 1e308 the grid level came out 2067
+        # (N = 100) and 203048 (N = 1000) times its analytic value
+        for x_max, n_points in [(1.01e-75, 100), (1.001e-74, 1000)]:
+            with pytest.raises(ValueError, match=re.escape(f"box [0, {x_max:g}]")):
+                discretize(model, Grid1D(0.0, x_max, n_points))
     # the squared oscillator bound 4/h**2 + x**2 must stay finite
     with pytest.raises(ValueError, match=r"box \[2e\+77, 3e\+77\]"):
         discretize(OSC, Grid1D(2e77, 3e77, 100))
@@ -283,6 +287,19 @@ def test_size_guard(monkeypatch):
         oracle_compare(WELL, 1, 0.1, Grid1D(0.0, 1.0, 65536))  # 2N = 131072 admitted
     with pytest.raises(ValueError, match="embedded eigensolve limited"):
         oracle_compare(WELL, 1, 0.1, Grid1D(0.0, 1.0, 65537))
+
+
+def test_box_check_follows_the_radius_check_and_size_guard():
+    # both models check the stencil bound in discretize, after the cheaper
+    # rejections of oracle_compare; Grid1D itself accepts the box
+    box = Grid1D(0.0, 1e200, 100)
+    with pytest.raises(RadiusError):
+        oracle_compare(WELL, 1, 5.0, box)
+    with pytest.raises(ValueError, match="embedded eigensolve limited"):
+        oracle_compare(OSC, 1, 0.1, Grid1D(0.0, 1.0, 2 * 10**77))
+    for model in (WELL, OSC):
+        with pytest.raises(ValueError, match=re.escape(f"box [0, 1e+200] at N = 100")):
+            oracle_compare(model, 1, 0.1, box)
 
 
 def test_residual_certification_rejects_a_poor_eigenvector(monkeypatch):

@@ -35,15 +35,13 @@ scalars = st.one_of(floats, st.integers(), st.booleans(), st.none(), st.text(max
 
 @st.composite
 def tables(draw):
-    """Columns of plain floats, plain ints or mixed cells; list, tuple,
-    empty and short rows."""
-    kinds = draw(st.lists(st.sampled_from([floats, st.integers(), scalars]), max_size=6))
+    """Rectangular tables: columns of plain floats, plain ints or mixed
+    cells; list and tuple rows; no rows at all."""
+    kinds = draw(st.lists(st.sampled_from([floats, st.integers(), scalars]),
+                          min_size=1, max_size=6))
     columns = draw(st.lists(st.text(max_size=4), min_size=len(kinds), max_size=len(kinds)))
     row = st.tuples(*kinds)
-    rows = draw(st.lists(
-        st.one_of(row, row.map(list), st.just([]), st.lists(scalars, max_size=2)),
-        max_size=8,
-    ))
+    rows = draw(st.lists(st.one_of(row, row.map(list)), max_size=8))
     return columns, rows
 
 
@@ -55,7 +53,6 @@ specs = st.builds(OutputSpec, st.sampled_from(["csv", "json"]), st.none(), st.in
 @example(table=([], []), spec=OutputSpec("json"))
 @example(table=(["a", "b"], []), spec=OutputSpec("json"))
 @example(table=(["a", "b"], []), spec=OutputSpec("csv"))
-@example(table=(["a"], [[], []]), spec=OutputSpec("json"))
 @example(table=(["x", "y"], [[-0.0, 1], [-1e-300, 2], [0.0, 3]]), spec=OutputSpec("csv", None, 1))
 @example(table=(["x", "y"], [(-0.0, None), (1e300, 0.25)]), spec=OutputSpec("json", None, 15))
 def test_render_matches_the_per_cell_reference(table, spec):

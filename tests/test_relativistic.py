@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hydrogen_reference import HYDROGEN_TABLE
 from quatpert.relativistic import (
     RYDBERG_EV,
     RYDBERG_EV_PRECISE,
@@ -11,16 +12,6 @@ from quatpert.relativistic import (
     quaternionic_hydrogen_energy,
     relativistic_energy,
 )
-
-# reference five-row table at alpha*|W| = 0.15 eV, to five decimals
-REFERENCE_ROWS = [
-    (1, -13.60000, -13.60090, -13.60083),
-    (2, -3.40000, -3.40015, -3.40331),
-    (3, -1.51111, -1.51116, -1.51854),
-    (4, -0.85000, -0.85002, -0.86313),
-    (5, -0.54400, -0.54401, -0.56430),
-]
-
 
 def test_relativistic_energy_values():
     assert relativistic_energy(1, 0) == pytest.approx(-13.600904894227277, rel=1e-12)
@@ -53,7 +44,7 @@ def test_correction_is_negative_for_all_levels():
 def test_comparison_table_reproduces_reference_rows():
     table = comparison_table(0.15, 5)
     assert len(table.rows) == 5 and table.omitted == ()
-    for row, (n, e_c, e_r, e_q) in zip(table.rows, REFERENCE_ROWS):
+    for row, (n, (e_c, e_r, e_q)) in zip(table.rows, HYDROGEN_TABLE.items()):
         assert row.n == n
         assert row.e_complex == pytest.approx(e_c, abs=5e-6)
         assert row.e_relativistic == pytest.approx(e_r, abs=5e-6)

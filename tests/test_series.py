@@ -349,3 +349,20 @@ def test_out_of_double_range_names_the_order():
     # the order-2 term 1.6e308 is finite, e0 plus it is not
     with pytest.raises(ValueError, match="order-2 partial sum"):
         perturbed_energy(PerturbationSpec(e0=8e307, w=complex(8e307), alpha=2.0), 4)
+
+
+
+def test_coefficients_past_double_range_name_the_order():
+    # E_2 = |W|**2 / 2E0 = 5e311: the closed formula gave inf and the
+    # recurrence an OverflowError from |W|**2; both name order 2 instead
+    spec = PerturbationSpec(e0=1e300, w=complex(1e306))
+    for route in (correction_coefficient_closed, correction_coefficient_recurrence):
+        for s in (2, 6):
+            with pytest.raises(ValueError, match="the order-2 coefficient exceeds double range"):
+                route(spec, s)
+    # E_2 = 5e307 is finite, E_4 = -E_2**2 / 2E0 is not
+    spec = PerturbationSpec(e0=1.0, w=complex(1e154))
+    for route in (correction_coefficient_closed, correction_coefficient_recurrence):
+        assert route(spec, 2) == pytest.approx(5e307)
+        with pytest.raises(ValueError, match="order-4 .*exceeds double range"):
+            route(spec, 4)
