@@ -22,6 +22,7 @@ terms up through (alpha * |W| / 2E)**(2s).
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -206,15 +207,19 @@ def sigma_series(model: ModelKind, n: int, alpha: float, order: int) -> float:
     # _catalan_terms(y, order)[s-1] = (-1)**(s+1) * 2*Cat(s-1) * y**s
     if model is ModelKind.HYDROGEN:
         d_hi, d_lo = (n + 1) ** 2, n**2
-        y_hi, y_lo = (d_hi * alpha) ** 2, (d_lo * alpha) ** 2
+        x_hi, x_lo = d_hi * alpha, d_lo * alpha
         w_hi, w_lo = 1.0 / d_hi, 1.0 / d_lo
         scale = -d_hi * d_lo / (2 * n + 1)
     else:
         well = model is ModelKind.WELL
         d_hi, d_lo = ((n + 1) ** 2, n**2) if well else (2 * n + 3, 2 * n + 1)
-        y_hi, y_lo = (alpha / d_hi) ** 2, (alpha / d_lo) ** 2
+        x_hi, x_lo = alpha / d_hi, alpha / d_lo
         w_hi, w_lo = d_hi, d_lo
         scale = 1.0 / (2 * n + 1) if well else 0.5
+    try:
+        y_hi, y_lo = x_hi**2, x_lo**2
+    except OverflowError:  # the order-2 term leaves double range with it
+        y_hi = y_lo = math.inf
     total = 1.0
     for hi, lo in zip(_catalan_terms(y_hi, order), _catalan_terms(y_lo, order)):
         total += scale * (hi * w_hi - lo * w_lo)

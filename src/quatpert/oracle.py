@@ -40,14 +40,18 @@ converges to an eigenvector in two steps; the reported eigenvalue is its
 Rayleigh quotient, so the prediction never enters the result.  The pair is
 certified three ways: its residual,
 ||R v - lambda v|| <= 1e-8 times the largest column norm of R (a lower
-bound on ||R||); its sorted position in the spectrum, from Sylvester
-inertia counts on either side of lambda; and its branch, from the overlap
-of the first block with the unperturbed eigenvector of H.
+bound on ||R||); its sorted position in the spectrum, from the inertia
+of R - sigma*I on either side of lambda; and its branch, from the overlap
+of the first block with the unperturbed eigenvector of H.  With W
+constant, the congruence that diagonalizes H splits R - sigma*I into one
+2x2 block [[e - sigma, c], [c, -e - sigma]] per level e of H, so each
+inertia count is one LAPACK Sturm count of H (`_count_below`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,8 +177,8 @@ class DiscreteHamiltonian:
                 f"bare-level residual exceeds {_RESIDUAL_REL:g} * ||H|| at {value:.6g}"
             )
         delta = max(residual, _WINDOW_REL * norm)
-        below, through = (self._count_through(off, value - delta),
-                          self._count_through(off, value + delta))
+        below, through = (self._levels_in(-math.inf, value - delta),
+                          self._levels_in(-math.inf, value + delta))
         if not below <= index < through:
             raise OracleError(
                 f"bare level {value:.6g}: sorted positions {below} to {through - 1} lie "
@@ -182,10 +186,13 @@ class DiscreteHamiltonian:
             )
         return value, v
 
-    def _count_through(self, off: np.ndarray, value: float) -> int:
-        """Number of eigenvalues at or below `value`: one Sturm count (LAPACK
-        stebz over (-inf, value] with an infinite tolerance, so no bisection)."""
-        return int(_stebz(self.diagonal, off, 1, -math.inf, value, 0, 0, math.inf, "E")[0])
+    def _levels_in(self, low: float, high: float) -> int:
+        """Number of levels in (low, high]: LAPACK stebz with an infinite
+        tolerance, so one Sturm count at each end and no bisection.  Its
+        wrapper asks for one off-diagonal entry even at N = 1, where LAPACK
+        reads none."""
+        off = np.full(max(self.size - 1, 1), self.off_diagonal)
+        return int(_stebz(self.diagonal, off, 1, low, high, 0, 0, math.inf, "E")[0])
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         out = self.diagonal * vec
@@ -338,57 +345,41 @@ def _column_norm(op: EmbeddedOperator) -> float:
 
 
 def _count_below(op: EmbeddedOperator, lower: float, upper: float) -> tuple[int, int]:
-    """Numbers of eigenvalues of the embedding below `lower` and `upper`, in O(N).
+    """Numbers of eigenvalues of the embedding strictly below `lower` and `upper`.
 
-    Sylvester's law of inertia on the block LDL^T of R - sigma*I in the
-    interleaved order: the 2x2 pivots are S_0 = D_0 - sigma and
-    S_{k+1} = D_{k+1} - sigma - E S_k^{-1} E with E = diag(o, -o), and the
-    count is the number of negative eigenvalues summed over the pivots.
-    A pivot [[a, beta], [beta, b]] is carried as the reals (a, b, beta), in
-    a power-of-two unit near the largest entry, so that the scaling is
-    exact and the products stay in range.  One sweep over the scaled
-    diagonal runs the recurrences at both shifts.  An exactly singular
-    pivot means that shift is an eigenvalue of a leading block; that end
-    then restarts 2**-50 of the unit lower, so an eigenvalue at the shift
-    itself is not counted.
+    Sylvester's law of inertia through the congruence that diagonalizes H.
+    W is constant, so with Q the eigenvectors of H, diag(Q, Q)^T (R -
+    sigma*I) diag(Q, Q) is, up to order, the direct sum over the levels e
+    of H of [[e - sigma, c], [c, -e - sigma]], whose eigenvalues are
+    +/-hypot(e, c) - sigma.  With t = sqrt((|sigma| - c)(|sigma| + c)), the
+    count below sigma > 0 is N + #{|e| < t} and below sigma <= 0 is
+    N - #{|e| <= t}, each set empty where that product is negative: one
+    Sturm count of H per end (`DiscreteHamiltonian._levels_in`).  A W that
+    varies from site to site couples the levels, and needs a count over
+    the pivots of R itself.
     """
-    h = op.hamiltonian
-    largest = max(float(np.abs(h.diagonal).max()), abs(h.off_diagonal), op.coupling,
-                  abs(lower), abs(upper))
-    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
-    diagonal = (h.diagonal / scale).tolist()
-    o2 = (h.off_diagonal / scale) ** 2
-    c = op.coupling / scale
-    s, t = lower / scale, upper / scale
-    while True:
-        below = through = 0
-        a = b = beta = p = q = gamma = 0.0
-        det_s = det_t = 1.0
-        for d in diagonal:
-            r = o2 / det_s
-            a, b, beta = d - s - r * b, -d - s - r * a, c - r * beta
-            det_s = a * b - beta * beta
-            r = o2 / det_t
-            p, q, gamma = d - t - r * q, -d - t - r * p, c - r * gamma
-            det_t = p * q - gamma * gamma
-            if det_s < 0.0:
-                below += 1
-            elif det_s == 0.0:
-                break
-            elif a < 0.0:
-                below += 2
-            if det_t < 0.0:
-                through += 1
-            elif det_t == 0.0:
-                break
-            elif p < 0.0:
-                through += 2
-        else:
-            return below, through
-        if det_s == 0.0:
-            s -= 2.0**-50
-        if det_t == 0.0:
-            t -= 2.0**-50
+    return _count_at(op, lower), _count_at(op, upper)
+
+
+def _count_at(op: EmbeddedOperator, sigma: float) -> int:
+    """Number of eigenvalues of the embedding strictly below `sigma` (see `_count_below`)."""
+    h, c, s = op.hamiltonian, op.coupling, abs(sigma)
+    if s < c or (s == c and sigma > 0.0):
+        return h.size
+    if s == c:
+        # t = 0: the levels at zero put an eigenvalue on sigma itself.  stebz
+        # takes a level within its pivot floor (the least normal double times
+        # max(1, o**2)) of an end as on it, so they are counted over (-2 floor, 0].
+        floor = sys.float_info.min * max(1.0, h.off_diagonal * h.off_diagonal)
+        return h.size - h._levels_in(-2.0 * floor, 0.0)
+    # a power-of-two unit keeps t**2 in range and rounds t as unscaled
+    unit = math.ldexp(1.0, math.frexp(s + c)[1])
+    t = unit * math.sqrt((s - c) / unit * ((s + c) / unit))
+    # the window is (low, high]: the strict end of |e| < t moves one ulp
+    # inward, the closed end e >= -t of |e| <= t one ulp outward
+    if sigma > 0.0:
+        return h.size + h._levels_in(-t, math.nextafter(t, 0.0))
+    return h.size - h._levels_in(math.nextafter(-t, -math.inf), t)
 
 
 def _certified_eigenpair(op: EmbeddedOperator, index: int, shift: float,
@@ -400,8 +391,8 @@ def _certified_eigenpair(op: EmbeddedOperator, index: int, shift: float,
     Returns (lam, v1, v2, residual): lam is the Rayleigh quotient of the
     unit inverse-iteration vector (v1, v2), and residual is ||R v - lam v||
     relative to the largest column norm of R, at most 1e-8.  Some
-    eigenvalue lies within the absolute residual of lam; one inertia sweep
-    then shows that exactly one eigenvalue, the one at `index`, lies within
+    eigenvalue lies within the absolute residual of lam; two inertia counts
+    then show that exactly one eigenvalue, the one at `index`, lies within
     max(||R v - lam v||, 1e-12 * norm) of lam.
     """
     v1, v2 = _eigenvector(op, shift, start)

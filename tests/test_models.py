@@ -110,6 +110,16 @@ def test_sigma_routes_agree_term_for_term():
                 assert a == pytest.approx(b, rel=1e-12)
 
 
+def test_sigma_series_names_the_order_past_double_range():
+    # the square of d * alpha (hydrogen) or alpha / d leaves double range:
+    # both routes raise the ValueError that names the order, no OverflowError
+    for model in (HYD, WELL, OSC):
+        with pytest.raises(ValueError, match="the order-2 series term exceeds double range"):
+            sigma_series(model, 1, 1e200, 5)
+        with pytest.warns(RadiusWarning), pytest.raises(ValueError, match="the order-2 series"):
+            sigma_ratio(model, 1, 1e200, 5)
+
+
 def test_sigma_limits():
     assert sigma_limit(HYD, 1, 0.125) == pytest.approx(0.9029640210815219, abs=1e-14)
     assert sigma_limit(WELL, 1, 1.0) == pytest.approx(0.7453559924999299, abs=1e-14)

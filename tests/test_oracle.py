@@ -14,6 +14,7 @@ from complex_embedding import (
     dense_b,
     dense_h,
     second_block_phase,
+    sweep_count_below,
 )
 from quatpert.models import (
     LevelSpec,
@@ -413,17 +414,22 @@ def test_fallback_cases_keep_their_bare_level(monkeypatch):
     # both restart at the bisected root, and the bare level stays the
     # bisected one to roundoff: the grid FAIL reads the same.  At --grid 5
     # level n = 4 lies 2e-9 (relative) above n = 3: a restart shifted a
-    # relative 1e-9 off the root would find it and exit 1
+    # relative 1e-9 off the root would find it and exit 1.  One bisection,
+    # then counts only: the bare level's window, then the embedded one,
+    # two Sturm counts each
     ranges = _recorded_stebz_ranges(monkeypatch)
     eps = np.finfo(float).eps
-    for n, alpha, grid in [(2, 0.1, default_grid(OSC, 3)), (0, 0.5, Grid1D(-5e75, 5e75, 100)),
-                           (3, 0.1, default_grid(OSC, 5))]:
+    for n, alpha, grid, recorded in [
+        (2, 0.1, default_grid(OSC, 3), [2, 1, 1, 1, 1]),
+        (0, 0.5, Grid1D(-5e75, 5e75, 100), [2, 1, 1, 1, 1]),
+        (3, 0.1, default_grid(OSC, 5), [2, 1, 1, 1, 1]),
+    ]:
         ranges.clear()
         ham = discretize(OSC, grid)
         reference = bisected_level(ham, ham.level_index(n))[0]
         norm = float(np.abs(ham.diagonal).max()) + 2.0 * abs(ham.off_diagonal)
         report = oracle_compare(OSC, n, alpha, grid)
-        assert ranges == [2, 1, 1]
+        assert ranges == recorded
         assert abs(report.e0_discrete * ham.level_scale - reference) <= eps * norm
         assert report.grid_warning and not report.passed
 
@@ -453,6 +459,69 @@ def test_inertia_count_on_an_exact_eigenvalue():
     assert [_count_below(op, s, s) for s in (-2.0, -1.0, 1.0, 2.0)] == [
         (0, 0), (1, 1), (2, 2), (3, 3)]
     assert _count_below(op, -1.0, 1.5) == (1, 3) and _count_below(op, 1.5, 2.0) == (3, 3)
+
+
+def _assert_counts_agree(op, eigs, pairs):
+    """The congruence count, the reference block sweep and the sorted spectrum agree."""
+    for lower, upper in pairs:
+        want = tuple(int(k) for k in np.searchsorted(eigs, [lower, upper]))
+        assert _count_below(op, lower, upper) == sweep_count_below(op, lower, upper) == want
+
+
+def test_congruence_count_matches_the_block_sweep_on_the_certification_windows(monkeypatch):
+    # the windows lam +- delta that certify the 33 criterion-6 cases at N = 500
+    windows = []
+
+    def recording(op, lower, upper):
+        windows.append((op, lower, upper))
+        return _count_below(op, lower, upper)
+
+    monkeypatch.setattr(oracle_mod, "_count_below", recording)
+    for model, n in CRITERION_6_LEVELS:
+        for fraction in (0.1, 0.5, 0.9):
+            alpha = fraction * alpha_max(model, n)
+            grid = default_grid(model, 500)
+            ham = discretize(model, grid)
+            w = perturbation_spec(LevelSpec(model, n), alpha).w * ham.level_scale
+            windows.clear()
+            assert oracle_compare(model, n, alpha, grid).passed
+            (op, lower, upper), = windows
+            index = ham.size + ham.level_index(n)
+            _assert_counts_agree(op, all_eigenvalues(ham, alpha, w), [(lower, upper)])
+            assert _count_below(op, lower, upper) == (index, index + 1)
+
+
+@pytest.mark.parametrize("n_points", [3, 8, 64])
+def test_congruence_count_matches_the_block_sweep_on_random_windows(n_points):
+    # the default boxes, and extreme ones: on the last, at the edge of the
+    # stencil rule, sigma**2 leaves double range
+    rng = np.random.default_rng(38)
+    grids = [(model, default_grid(model, n_points)) for model in (WELL, OSC)]
+    grids += [(model, Grid1D(x_min, x_max, n_points)) for model, x_min, x_max in [
+        (OSC, -5e75, 5e75), (WELL, 0.0, 1e76), (WELL, 0.0, 1e-74), (OSC, 1.1e77, 1.15e77)]]
+    for model, grid in grids:
+        ham = discretize(model, grid)
+        for phase in (0.0, 0.7, math.pi):
+            w = 1.3 * ham.level_scale * cmath.exp(1j * phase)
+            op = embed(ham, 0.4, w)
+            eigs = np.linalg.eigvalsh(dense_b(ham, 0.4, w))
+            span = 1.1 * abs(eigs).max()
+            _assert_counts_agree(op, eigs, rng.uniform(-span, span, (40, 2)))
+
+
+def test_congruence_count_matches_the_block_sweep_on_exact_eigenvalues():
+    # shifts on the eigenvalues +-hypot(e, c), all exact doubles here, on the
+    # ends +-c of the gap and at zero, for diagonal H with levels at zero
+    for diagonal, c in [([0.0, 12.0, -12.0, 0.0], 5.0), ([0.0, 4.0, -4.0], 3.0),
+                        ([15.0, -15.0], 8.0), ([1.0, -2.0, 0.0], 0.0), ([0.0], 0.0),
+                        ([0.0], 2.0)]:
+        ham = DiscreteHamiltonian(diagonal=np.array(diagonal), off_diagonal=0.0)
+        op = embed(ham, 1.0, c)
+        top = np.hypot(ham.diagonal, c)
+        eigs = np.sort(np.concatenate([top, -top]))
+        assert np.linalg.eigvalsh(dense_b(ham, 1.0, c)) == pytest.approx(eigs, abs=1e-12)
+        shifts = np.concatenate([eigs, [c, -c, 0.0]])
+        _assert_counts_agree(op, eigs, [(lower, upper) for lower in shifts for upper in shifts])
 
 
 def _overlap(a, b):
