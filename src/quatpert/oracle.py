@@ -33,19 +33,20 @@ where the grid has moved the level past a neighbour, the iteration
 restarts once next to the bisected root.
 
 `oracle_compare` takes one eigenpair of R without computing the rest of its
-spectrum.  In the interleaved (phi1_i, phi2_i) order R is a pentadiagonal
-symmetric band.  Shifted inverse iteration with a banded solve, shifted to
-the value the bare level predicts and started from the bare level's vector,
-converges to an eigenvector in two steps; the reported eigenvalue is its
-Rayleigh quotient, so the prediction never enters the result.  The pair is
-certified three ways: its residual,
-||R v - lambda v|| <= 1e-8 times the largest column norm of R (a lower
-bound on ||R||); its sorted position in the spectrum, from the inertia
-of R - sigma*I on either side of lambda; and its branch, from the overlap
-of the first block with the unperturbed eigenvector of H.  With W
-constant, the congruence that diagonalizes H splits R - sigma*I into one
-2x2 block [[e - sigma, c], [c, -e - sigma]] per level e of H, so each
-inertia count is one LAPACK Sturm count of H (`_count_below`).
+spectrum.  With W constant, the congruence that diagonalizes H splits R
+into one 2x2 block [[e, c], [c, -e]] per level e of H.  The embedded
+vector is the bare pair (e, u) lifted through its block, v = (a u, b u)
+with (a, b) the block's unit + eigenvector: its residual under R is the
+bare residual.  The reported eigenvalue is the Rayleigh quotient of v
+under R, never hypot(e, c).  The pair is certified three ways: its
+residual, ||R v - lambda v|| <= 1e-8 times the largest column norm of R (a
+lower bound on ||R||); its sorted position in the spectrum, from the
+inertia of R - sigma*I on either side of lambda, which the same split
+makes one LAPACK Sturm count of H per side (`_count_below`); and its
+branch, from the overlap of the first block with the unperturbed
+eigenvector of H.  That overlap is 1 by construction for constant W, so
+the inertia count alone certifies the branch; the check stays for a W
+that varies from site to site, which couples the levels.
 """
 
 from __future__ import annotations
@@ -60,11 +61,9 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .models import _MODELS, LevelSpec, ModelKind, _outside, alpha_max, perturbation_spec
 from .series import RadiusError, closed_form_limit, perturbed_energy
 
-_gbtrf, _gbtrs, _gttrf, _gttrs, _stebz = get_lapack_funcs(
-    ("gbtrf", "gbtrs", "gttrf", "gttrs", "stebz"), dtype=np.float64
-)
+_gttrf, _gttrs, _stebz = get_lapack_funcs(("gttrf", "gttrs", "stebz"), dtype=np.float64)
 
-MAX_EMBEDDED_SIZE = 131072  # 2N; bounds the O(N) memory of the band solve
+MAX_EMBEDDED_SIZE = 131072  # 2N; bounds the O(N) vectors of H and the embedded pair
 
 _REFERENCE_GRID_POINTS = 2000
 _TOLERANCE_AT_REFERENCE = 1e-4  # relative, at N = 2000; scales with h**2
@@ -257,21 +256,6 @@ class EmbeddedOperator:
         c = self.coupling
         return self.hamiltonian.apply(v1) + c * v2, c * v1 - self.hamiltonian.apply(v2)
 
-    def _band(self) -> np.ndarray:
-        """Upper symmetric band in interleaved (phi1_i, phi2_i) order.
-
-        Interleaving turns the block matrix into a pentadiagonal one, which
-        is what keeps the banded solve O(N).
-        """
-        h = self.hamiltonian
-        band = np.zeros((3, self.size))
-        band[2, 0::2] = h.diagonal
-        band[2, 1::2] = -h.diagonal
-        band[1, 1::2] = self.coupling
-        band[0, 2::2] = h.off_diagonal
-        band[0, 3::2] = -h.off_diagonal
-        return band
-
 
 def embed(h: DiscreteHamiltonian, alpha: float, w: complex) -> EmbeddedOperator:
     """Real form of the embedding of i*H + j*alpha*W; at alpha = 0 it is diag(H, -H)."""
@@ -289,36 +273,21 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _eigenvector(op: EmbeddedOperator, eigenvalue: float,
-                 start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted inverse iteration from (start, 0); returns the block components (v1, v2).
+def _block_vector(op: EmbeddedOperator, level: float,
+                  u_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a u, b u), with (a, b) the unit + eigenvector of [[e, c], [c, -e]] at e = `level`.
 
-    The shifted band is LU-factored once (LAPACK gbtrf, which needs two
-    rows of room above the band for the fill-in) and each of the two
-    steps is one gbtrs solve against that factorization.  Started from the
-    bare level's eigenvector, the iterate lies in that level's 2x2 block
-    of R but for the bare vector's own error, and the partner eigenvalue
-    of the block sits 2|lambda| from the shift.
+    W is constant, so R maps (a u, b u) to (a H u + b c u, a c u - b H u):
+    if H u = e u + r with r orthogonal to u, the Rayleigh quotient is
+    hypot(e, c) and the residual is (a r, -b r), of norm ||r||.  The
+    eigenvector is taken in the form that adds rather than cancels,
+    (rho + e, c) for e >= 0 and (c, rho - e) otherwise, rho = hypot(e, c).
     """
-    n2 = op.size
-    band = op._band()
-    ab = np.zeros((7, n2))  # fill-in rows, then two rows each side
-    ab[4, :] = band[2, :] - eigenvalue
-    for k in (1, 2):
-        ab[4 - k, k:] = band[2 - k, k:]
-        ab[4 + k, :-k] = band[2 - k, k:]
-    lu, piv, info = _gbtrf(ab, 2, 2)
-    if info > 0:
-        # exactly singular shift: nudge by one part in 1e13
-        ab[4, :] -= abs(eigenvalue) * 1e-13 + 1e-300
-        lu, piv, info = _gbtrf(ab, 2, 2)
-    if info != 0:
-        raise OracleError(f"banded LU factorization failed at shift {eigenvalue:.6g}")
-    v = np.zeros(n2)
-    v[0::2] = start
-    for _ in range(2):
-        v = _unit(_gbtrs(lu, 2, 2, v, piv, overwrite_b=True)[0])
-    return v[0::2], v[1::2]
+    c = op.coupling
+    rho = math.hypot(level, c)
+    a, b = (rho + level, c) if level >= 0.0 else (c, rho - level)
+    scale = math.hypot(a, b)
+    return (a / scale) * u_vec, (b / scale) * u_vec
 
 
 def _residual(op: EmbeddedOperator, v1: np.ndarray, v2: np.ndarray) -> tuple[float, float]:
@@ -382,20 +351,22 @@ def _count_at(op: EmbeddedOperator, sigma: float) -> int:
     return h.size - h._levels_in(math.nextafter(-t, -math.inf), t)
 
 
-def _certified_eigenpair(op: EmbeddedOperator, index: int, shift: float,
-                         start: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Eigenpair at sorted position `index` of the embedding, found from `shift`.
+def _certified_eigenpair(op: EmbeddedOperator, index: int, level: float,
+                         u_vec: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Eigenpair at sorted position `index` of the embedding, from the bare pair of H.
 
-    The inverse iteration starts from (start, 0); no gate depends on it.
+    `level` and the unit `u_vec` are a certified level of H and its vector
+    (`DiscreteHamiltonian.eigenpair`); `_block_vector` lifts them to
+    the unit vector (v1, v2) of R, and no gate depends on how.
 
-    Returns (lam, v1, v2, residual): lam is the Rayleigh quotient of the
-    unit inverse-iteration vector (v1, v2), and residual is ||R v - lam v||
-    relative to the largest column norm of R, at most 1e-8.  Some
-    eigenvalue lies within the absolute residual of lam; two inertia counts
-    then show that exactly one eigenvalue, the one at `index`, lies within
+    Returns (lam, v1, v2, residual): lam is the Rayleigh quotient of
+    (v1, v2) under R, and residual is ||R v - lam v|| relative to the
+    largest column norm of R, at most 1e-8.  Some eigenvalue lies within
+    the absolute residual of lam; two inertia counts then show that exactly
+    one eigenvalue, the one at `index`, lies within
     max(||R v - lam v||, 1e-12 * norm) of lam.
     """
-    v1, v2 = _eigenvector(op, shift, start)
+    v1, v2 = _block_vector(op, level, u_vec)
     lam, residual = _residual(op, v1, v2)
     norm = _column_norm(op)
     if residual > _RESIDUAL_REL * norm:
@@ -427,10 +398,12 @@ class OracleReport:
     """Side-by-side values for one (model, n, alpha), all in model units.
 
     `residual` is the embedded eigenpair's ||B v - lambda v|| relative to
-    the largest column norm of B, and `overlap` the branch overlap of its
-    first block with the bare level's eigenvector.  When the grid warning
-    is set and that eigenpair fails to certify, the report still comes back,
-    not passed, with the five embedding fields (`oracle_value`, the two
+    the largest column norm of B (for constant W the bare level's own
+    residual), and `overlap` the branch overlap of its first block with the
+    bare level's eigenvector (1 up to roundoff for constant W, where that
+    block is a multiple of the bare vector).  When the grid warning is set
+    and that eigenpair fails to certify, the report still comes back, not
+    passed, with the five embedding fields (`oracle_value`, the two
     relative deviations, `residual`, `overlap`) set to None.
     """
 
@@ -471,8 +444,9 @@ def oracle_compare(
     The embedded eigenvalue is the member of the +/- pair continuous from
     the unperturbed level at alpha = 0 (same sorted position on the
     positive branch, certified by an inertia count and confirmed by the
-    overlap of its first block with the unperturbed eigenvector).  Rejects strengths outside the level radius
-    and embedded sizes above MAX_EMBEDDED_SIZE.  Warns, and does not pass,
+    overlap of its first block with the unperturbed eigenvector, which is
+    1 by construction for constant W).  Rejects strengths outside the level
+    radius and embedded sizes above MAX_EMBEDDED_SIZE.  Warns, and does not pass,
     when the bare grid level is off its analytic value by > 0.5%; on such a
     grid a certification failure (OracleError) leaves the embedding fields
     None instead of raising.
@@ -505,10 +479,8 @@ def oracle_compare(
     op = embed(ham, alpha, abs(spec.w) * ham.level_scale)
     tol = compare_tolerance(grid.n_points)
     try:
-        # positive branch, ordering preserved; the predicted level is only the shift
-        lam, v1, v2, residual = _certified_eigenpair(
-            op, ham.size + m, math.hypot(e0_grid, op.coupling), u_vec
-        )
+        # positive branch, ordering preserved
+        lam, v1, v2, residual = _certified_eigenpair(op, ham.size + m, e0_grid, u_vec)
         overlap = float(
             abs(u_vec @ v1) / (np.linalg.norm(u_vec) * np.linalg.norm(v1))
         )

@@ -6,8 +6,11 @@ itself, so the tests check the real route against the matrix of the paper
 and not against itself.
 
 `sweep_count_below` counts the inertia of R - sigma*I over its 2N block
-pivots, the general route that a W varying from site to site would need;
-the oracle counts through the levels of H instead, which needs W constant.
+pivots, and `inverse_iteration` finds an eigenvector of R by a banded solve
+on the interleaved band `real_band`: the general routes that a W varying
+from site to site would need.  The oracle counts through the levels of H
+and lifts the bare level's vector through its 2x2 block instead, which
+needs W constant.
 """
 
 import cmath
@@ -15,6 +18,11 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import get_lapack_funcs
+
+from quatpert.oracle import OracleError, _unit
+
+_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
 
 
 def dense_h(ham):
@@ -53,6 +61,53 @@ def complex_band(ham, alpha, w):
 def all_eigenvalues(ham, alpha, w):
     """The full sorted spectrum of B, O(N**2), from the complex band."""
     return sla.eig_banded(complex_band(ham, alpha, w), lower=False, eigvals_only=True)
+
+
+def real_band(op):
+    """Upper symmetric band of R in interleaved (phi1_i, phi2_i) order.
+
+    Interleaving turns the block matrix into a pentadiagonal one, which
+    is what keeps the banded solve O(N).
+    """
+    h = op.hamiltonian
+    band = np.zeros((3, op.size))
+    band[2, 0::2] = h.diagonal
+    band[2, 1::2] = -h.diagonal
+    band[1, 1::2] = op.coupling
+    band[0, 2::2] = h.off_diagonal
+    band[0, 3::2] = -h.off_diagonal
+    return band
+
+
+def inverse_iteration(op, eigenvalue, start):
+    """Shifted inverse iteration from (start, 0); returns the block components (v1, v2).
+
+    The shifted band is LU-factored once (LAPACK gbtrf, which needs two
+    rows of room above the band for the fill-in) and each of the two
+    steps is one gbtrs solve against that factorization.  Started from the
+    bare level's eigenvector, the iterate lies in that level's 2x2 block
+    of R but for the bare vector's own error, and the partner eigenvalue
+    of the block sits 2|lambda| from the shift.
+    """
+    n2 = op.size
+    band = real_band(op)
+    ab = np.zeros((7, n2))  # fill-in rows, then two rows each side
+    ab[4, :] = band[2, :] - eigenvalue
+    for k in (1, 2):
+        ab[4 - k, k:] = band[2 - k, k:]
+        ab[4 + k, :-k] = band[2 - k, k:]
+    lu, piv, info = _gbtrf(ab, 2, 2)
+    if info > 0:
+        # exactly singular shift: nudge by one part in 1e13
+        ab[4, :] -= abs(eigenvalue) * 1e-13 + 1e-300
+        lu, piv, info = _gbtrf(ab, 2, 2)
+    if info != 0:
+        raise OracleError(f"banded LU factorization failed at shift {eigenvalue:.6g}")
+    v = np.zeros(n2)
+    v[0::2] = start
+    for _ in range(2):
+        v = _unit(_gbtrs(lu, 2, 2, v, piv, overwrite_b=True)[0])
+    return v[0::2], v[1::2]
 
 
 def second_block_phase(alpha, w):

@@ -223,8 +223,8 @@ def test_oracle_tolerance_failure_exits_two(run_cli):
     # order 1 truncation error is far above the grid tolerance; at --grid 3 the
     # bare level is off by 222%, which the h**2-scaled tolerance alone would pass;
     # on the two absurd oscillator boxes the bare level is off by ~1e147 and
-    # ~1e55 times, and the embedding fails its inertia (-5e75) or overlap
-    # (-1e30) check, yet the run ends as the grid FAIL, not as exit 1; past
+    # ~1e55 times, and the embedding fails its inertia check (two eigenvalues
+    # in the window), yet the run ends as the grid FAIL, not as exit 1; past
     # 1e6 % the grid error prints in three significant digits
     for args, message, certified in [
         (("--model", "well", "--n", "1", "--alpha", "0.45", "--grid", "500", "--order", "1"),

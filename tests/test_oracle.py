@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import complex_embedding
 import quatpert.oracle as oracle_mod
 from complex_embedding import (
     all_eigenvalues,
     complex_band,
     dense_b,
     dense_h,
+    inverse_iteration,
+    real_band,
     second_block_phase,
     sweep_count_below,
 )
@@ -44,6 +47,11 @@ from quatpert.series import RadiusError
 WELL, OSC = ModelKind.WELL, ModelKind.OSCILLATOR
 # the levels of acceptance criterion 6, each at three strengths
 CRITERION_6_LEVELS = [(WELL, n) for n in range(1, 6)] + [(OSC, n) for n in range(0, 6)]
+# boxes at the edges of the stencil rule: levels that coincide to roundoff
+# (+-5e75), tiny stencil entries (1e76) and huge ones (1e-74), and on the
+# last sigma**2 leaves double range
+EXTREME_BOXES = [(OSC, -5e75, 5e75), (WELL, 0.0, 1e76), (WELL, 0.0, 1e-74),
+                 (OSC, 1.1e77, 1.15e77)]
 
 
 def toy_hamiltonian(e0):
@@ -133,7 +141,7 @@ def test_embedding_at_zero_strength_is_block_diagonal():
     np.testing.assert_array_equal(dense[8:, 8:], -h.astype(complex))
     assert np.all(dense[:8, 8:] == 0) and np.all(dense[8:, :8] == 0)
     op = embed(ham, 0.0, 2.0)
-    assert op.coupling == 0.0 and not op._band()[1].any()
+    assert op.coupling == 0.0 and not real_band(op)[1].any()
 
 
 def test_embedding_is_hermitian_exactly():
@@ -151,8 +159,8 @@ def test_single_site_pair():
     # +/- sqrt(E0^2 + w^2), solvable by hand
     for e0, w, top in [(1.0, 1.0, math.sqrt(2.0)), (2.0, 1.5, 2.5), (2.0, 1.5j, 2.5)]:
         ham = toy_hamiltonian(e0)
-        real_band = embed(ham, 1.0, w)._band()
-        assert sla.eig_banded(real_band, eigvals_only=True) == pytest.approx([-top, top])
+        band = real_band(embed(ham, 1.0, w))
+        assert sla.eig_banded(band, eigvals_only=True) == pytest.approx([-top, top])
         assert all_eigenvalues(ham, 1.0, w) == pytest.approx([-top, top])
         assert np.linalg.eigvalsh(dense_b(ham, 1.0, w)) == pytest.approx([-top, top])
 
@@ -202,8 +210,8 @@ def test_oracle_compare_zero_strength():
     assert report.passed and not report.grid_warning
     assert report.closed_form == report.series_value == report.e0_analytic == 1.0
     assert report.oracle_value == pytest.approx(1.0, rel=1e-5)
-    # inverse iteration on H (bare level) and on the band (embedding) agree
-    # far below the stencil error
+    # at zero coupling the block pair is (u, 0), so the bare level and the
+    # embedded Rayleigh quotient agree far below the stencil error
     assert report.e0_discrete == pytest.approx(report.oracle_value, rel=1e-9)
 
 
@@ -304,37 +312,49 @@ def test_box_check_follows_the_radius_check_and_size_guard():
 
 
 def test_residual_certification_rejects_a_poor_eigenvector(monkeypatch):
-    inverse_iteration = oracle_mod._eigenvector
+    block_vector = oracle_mod._block_vector
     rng = np.random.default_rng(35)
 
-    def perturbed(op, eigenvalue, start):
-        v1, v2 = inverse_iteration(op, eigenvalue, start)
+    def perturbed(op, level, u_vec):
+        v1, v2 = block_vector(op, level, u_vec)
         v1 = v1 + 1e-3 * rng.standard_normal(v1.size)
         norm = math.hypot(np.linalg.norm(v1), np.linalg.norm(v2))
         return v1 / norm, v2 / norm
 
-    monkeypatch.setattr(oracle_mod, "_eigenvector", perturbed)
+    monkeypatch.setattr(oracle_mod, "_block_vector", perturbed)
     with pytest.raises(OracleError, match="eigenpair residual exceeds"):
         oracle_compare(WELL, 1, 0.2, Grid1D(0.0, 1.0, 200))
 
 
 def test_branch_matching_rejects_the_wrong_level(monkeypatch):
     grid = Grid1D(0.0, 1.0, 200)
-    eigenvector = oracle_mod._eigenvector
+    block_vector = oracle_mod._block_vector
     eigenpair = DiscreteHamiltonian.eigenpair
     ham = discretize(WELL, grid)
+    e1, u1 = ham.eigenpair(0, analytic_level(ham, WELL, 1))
     e2, u2 = ham.eigenpair(1, analytic_level(ham, WELL, 2))
-    # inverse iteration steered to the n = 2 pair: the inertia count rejects it
+    # the pair built from the n = 2 level and vector: the inertia count rejects it
     with monkeypatch.context() as patch:
-        patch.setattr(oracle_mod, "_eigenvector",
-                      lambda op, shift, start: eigenvector(
-                          op, math.hypot(e2, abs(op.coupling)), start))
+        patch.setattr(oracle_mod, "_block_vector",
+                      lambda op, level, u_vec: block_vector(op, e2, u2))
         with pytest.raises(OracleError, match="branch matching failed: .* expected one"):
             oracle_compare(WELL, 1, 0.2, grid)
-    # the right bare level with the n = 2 eigenvector: the overlap rejects it
+    # the n = 1 level's block on the n = 2 vector: (a, b) is no eigenvector of
+    # the n = 2 block, and the residual gate rejects it
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle_mod, "_block_vector",
+                      lambda op, level, u_vec: block_vector(op, level, u2))
+        with pytest.raises(OracleError, match=re.escape(
+                "eigenpair residual exceeds 1e-08 * ||B|| at 38.1179")):
+            oracle_compare(WELL, 1, 0.2, grid)
+    # for constant W the first block of the pair is a multiple of the bare
+    # vector, so the overlap is 1 by construction; it is reached only by a
+    # certified n = 1 pair set against a bare vector of another level
     with monkeypatch.context() as patch:
         patch.setattr(DiscreteHamiltonian, "eigenpair",
                       lambda self, index, guess: (eigenpair(self, index, guess)[0], u2))
+        patch.setattr(oracle_mod, "_block_vector",
+                      lambda op, level, u_vec: block_vector(op, e1, u1))
         with pytest.raises(OracleError, match=r"branch matching failed for well n=1 \(overlap"):
             oracle_compare(WELL, 1, 0.2, grid)
     # the n = 2 bare level as a whole is off its analytic value by 300%: that
@@ -497,8 +517,7 @@ def test_congruence_count_matches_the_block_sweep_on_random_windows(n_points):
     # stencil rule, sigma**2 leaves double range
     rng = np.random.default_rng(38)
     grids = [(model, default_grid(model, n_points)) for model in (WELL, OSC)]
-    grids += [(model, Grid1D(x_min, x_max, n_points)) for model, x_min, x_max in [
-        (OSC, -5e75, 5e75), (WELL, 0.0, 1e76), (WELL, 0.0, 1e-74), (OSC, 1.1e77, 1.15e77)]]
+    grids += [(model, Grid1D(x_min, x_max, n_points)) for model, x_min, x_max in EXTREME_BOXES]
     for model, grid in grids:
         ham = discretize(model, grid)
         for phase in (0.0, 0.7, math.pi):
@@ -541,13 +560,13 @@ def test_real_form_is_similar_to_the_complex_embedding(n_points):
             alpha, w = 0.4, 1.3 * ham.level_scale * cmath.exp(1j * phase)
             op, b, u = embed(ham, alpha, w), dense_b(ham, alpha, w), second_block_phase(alpha, w)
             eigs, vectors = np.linalg.eigh(b)
-            assert sla.eig_banded(op._band(), eigvals_only=True) == pytest.approx(eigs, rel=1e-12)
+            band_eigs = sla.eig_banded(real_band(op), eigvals_only=True)
+            assert band_eigs == pytest.approx(eigs, rel=1e-12)
             index = ham.size
-            lam, v1, v2, residual = _certified_eigenpair(op, index, math.hypot(e0, op.coupling),
-                                                         u_vec)
+            lam, v1, v2, residual = _certified_eigenpair(op, index, e0, u_vec)
             norm = _column_norm(op)
             uv = np.concatenate([v1, u * v2])
-            # the certified residual is at roundoff, so B and R agree to roundoff there
+            # B and R give the certified residual to roundoff
             assert np.linalg.norm(b @ uv - lam * uv) == pytest.approx(residual * norm,
                                                                       abs=8 * eps * norm)
             # away from the eigenvector the residual is far above roundoff: 1e-10
@@ -597,8 +616,64 @@ def test_column_norm_is_a_lower_bound_on_the_norm():
         assert _column_norm(op) <= np.abs(np.linalg.eigvalsh(dense)).max()
 
 
+def _scaled_residual(op, v1, v2, lam):
+    """||R v - lam v||, summed in units of the largest column norm so that
+    the squares of the 1e-158 residual entries of the 1e76 box stay normal."""
+    scale = _column_norm(op)
+    y1, y2 = op.apply(v1, v2)
+    return scale * math.hypot(np.linalg.norm((y1 - lam * v1) / scale),
+                              np.linalg.norm((y2 - lam * v2) / scale))
+
+
+def _assert_block_pair_matches_the_iteration(op, index, level, u_vec, eigs):
+    """The block pair of the bare (level, u_vec) and the reference banded
+    inverse iteration from it agree: their Rayleigh quotients to 1e-12
+    relative, and their vectors up to sign within twice the sum of their
+    sin-theta bounds residual / gap, the gap read off the sorted spectrum."""
+    v1, v2 = oracle_mod._block_vector(op, level, u_vec)
+    r1, r2 = inverse_iteration(op, math.hypot(level, op.coupling), u_vec)
+    lam, ref = _residual(op, v1, v2)[0], _residual(op, r1, r2)[0]
+    assert lam == pytest.approx(ref, rel=1e-12)
+    gap = np.abs(np.delete(eigs, index) - lam).min()
+    bound = 2.0 * (_scaled_residual(op, v1, v2, lam) + _scaled_residual(op, r1, r2, ref)) / gap
+    sign = math.copysign(1.0, v1 @ r1 + v2 @ r2)
+    assert math.hypot(np.linalg.norm(v1 - sign * r1), np.linalg.norm(v2 - sign * r2)) <= bound
+
+
+def test_block_vector_carries_the_bare_residual():
+    # for any unit u with e = u.Hu and r = H u - e u, the lifted (a u, b u) is
+    # a unit vector with Rayleigh quotient hypot(e, c) and residual ||r||,
+    # for either sign of e and at zero coupling; then (a, b) on hand-solved blocks
+    rng = np.random.default_rng(39)
+    eps = np.finfo(float).eps
+    ham = discretize(OSC, default_grid(OSC, 64))
+    for shift, coupling in [(0.0, 0.0), (0.0, 3.0), (-500.0, 0.0), (-500.0, 3.0), (-1e4, 40.0)]:
+        shifted = DiscreteHamiltonian(ham.diagonal + shift, ham.off_diagonal)
+        op = embed(shifted, 1.0, coupling)
+        u_vec = rng.standard_normal(shifted.size)
+        u_vec /= np.linalg.norm(u_vec)
+        level = float(u_vec @ shifted.apply(u_vec))
+        bare = np.linalg.norm(shifted.apply(u_vec) - level * u_vec)
+        v1, v2 = oracle_mod._block_vector(op, level, u_vec)
+        assert math.hypot(np.linalg.norm(v1), np.linalg.norm(v2)) == pytest.approx(1.0, rel=4 * eps)
+        lam, residual = _residual(op, v1, v2)
+        assert lam == pytest.approx(math.hypot(level, coupling), rel=1e-12)
+        assert residual == pytest.approx(bare, rel=1e-12)
+    for level, coupling, want in [(2.0, 0.0, (1.0, 0.0)), (-2.0, 0.0, (0.0, 1.0)),
+                                  (0.0, 4.0, (2**-0.5, 2**-0.5)),
+                                  (3.0, 4.0, (2 / 5**0.5, 1 / 5**0.5)),
+                                  (-3.0, 4.0, (1 / 5**0.5, 2 / 5**0.5)),
+                                  # hypot(e, c) - |e| rounds to 0 here: only the
+                                  # non-cancelling form keeps the small component
+                                  (1e8, 1.0, (1.0, 5e-9)), (-1e8, 1.0, (5e-9, 1.0))]:
+        v1, v2 = oracle_mod._block_vector(embed(toy_hamiltonian(level), 1.0, coupling), level,
+                                          np.ones(1))
+        assert (v1[0], v2[0]) == pytest.approx(want, rel=1e-15)
+
+
 def test_targeted_eigenvalue_matches_the_full_spectrum():
-    # the 33 criterion-6 cases, at N = 500
+    # the 33 criterion-6 cases, at N = 500: the certified value is the sorted
+    # eigenvalue, and the block pair is the reference iteration's
     for model, n in CRITERION_6_LEVELS:
         for fraction in (0.1, 0.5, 0.9):
             alpha = fraction * alpha_max(model, n)
@@ -607,8 +682,24 @@ def test_targeted_eigenvalue_matches_the_full_spectrum():
             w = perturbation_spec(LevelSpec(model, n), alpha).w * ham.level_scale
             report = oracle_compare(model, n, alpha, grid)
             index = ham.size + ham.level_index(n)
-            reference = all_eigenvalues(ham, alpha, w)[index] / ham.level_scale
-            assert report.oracle_value == pytest.approx(reference, rel=1e-9)
+            eigs = all_eigenvalues(ham, alpha, w)
+            assert report.oracle_value == pytest.approx(eigs[index] / ham.level_scale, rel=1e-9)
+            level, u_vec = ham.eigenpair(ham.level_index(n), analytic_level(ham, model, n))
+            _assert_block_pair_matches_the_iteration(embed(ham, alpha, w), index, level, u_vec,
+                                                     eigs)
+    # the extreme boxes, at N = 64, whether or not the pair certifies there (on
+    # the +-5e75 box levels pair up within a few parts in 1e12, which loosens
+    # the vector bound).  At N = 3 on that box the level 3e-151 leaves the
+    # shift hypot(e, c) equal to c, the shifted band is singular but for a
+    # 1e-151 pivot, and the reference iteration overflows to NaN
+    for model, x_min, x_max in EXTREME_BOXES:
+        ham = discretize(model, Grid1D(x_min, x_max, 64))
+        w = 1.3 * ham.level_scale
+        eigs = np.linalg.eigvalsh(dense_b(ham, 0.4, w))
+        for m in range(3):
+            level, u_vec = ham.eigenpair(m, analytic_level(ham, model, ham.n_min + m))
+            _assert_block_pair_matches_the_iteration(embed(ham, 0.4, w), ham.size + m, level,
+                                                     u_vec, eigs)
 
 
 def test_oracle_compare_never_computes_the_full_spectrum(monkeypatch):
@@ -653,7 +744,7 @@ def test_inverse_iteration_matches_two_banded_solves():
         op = embed(ham, alpha, w)
         e0, u_vec = ham.eigenpair(ham.level_index(n), analytic_level(ham, model, n))
         shift = math.hypot(e0, op.coupling)
-        v1, v2 = oracle_mod._eigenvector(op, shift, u_vec)
+        v1, v2 = inverse_iteration(op, shift, u_vec)
         got = np.concatenate([v1, second_block_phase(alpha, w) * v2])
         want = np.concatenate(_two_banded_solves(ham, alpha, w, shift, u_vec))
         # the near-singular complex solves leave a unit phase of roundoff on the vector
@@ -664,17 +755,17 @@ def test_inverse_iteration_matches_two_banded_solves():
 
 def test_inverse_iteration_nudges_an_exactly_singular_shift(monkeypatch):
     infos = []
-    gbtrf = oracle_mod._gbtrf
+    gbtrf = complex_embedding._gbtrf
 
     def recording(*args):
         lu, piv, info = gbtrf(*args)
         infos.append(info)
         return lu, piv, info
 
-    monkeypatch.setattr(oracle_mod, "_gbtrf", recording)
+    monkeypatch.setattr(complex_embedding, "_gbtrf", recording)
     three_sites = DiscreteHamiltonian(diagonal=np.array([1.0, 2.0, 3.0]), off_diagonal=0.0)
     op = embed(three_sites, 0.0, 0.0)  # spectrum -3, -2, -1, 1, 2, 3
-    v1, v2 = oracle_mod._eigenvector(op, 2.0, np.full(3, 3**-0.5))
+    v1, v2 = inverse_iteration(op, 2.0, np.full(3, 3**-0.5))
     assert infos[0] > 0 and infos[1:] == [0]
     v = np.concatenate([v1, v2])
     assert np.all(np.isfinite(v))
