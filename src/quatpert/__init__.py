@@ -68,14 +68,12 @@ from .relativistic import (
 _ORACLE_EXPORTS = {
     "Grid1D",
     "DiscreteHamiltonian",
-    "EmbeddedOperator",
     "OracleError",
     "OracleReport",
     "MAX_EMBEDDED_SIZE",
     "compare_tolerance",
     "default_grid",
     "discretize",
-    "embed",
     "oracle_compare",
 }
 

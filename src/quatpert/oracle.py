@@ -138,7 +138,7 @@ class DiscreteHamiltonian:
         OracleError.
         """
         off = np.full(self.size - 1, self.off_diagonal)
-        norm = _column_norm(EmbeddedOperator(self, 0.0))  # the columns of H itself
+        norm = _column_norm(self, 0.0)  # the columns of H itself
         try:
             return self._certified_level(index, guess, off, norm)
         except OracleError:
@@ -170,7 +170,7 @@ class DiscreteHamiltonian:
             v = _unit(_gttrs(dl, d, du, du2, ipiv, v, overwrite_b=True)[0])
         y = self.apply(v)
         value = float(v @ y)
-        residual = float(np.linalg.norm(y - value * v))
+        residual = _residual_norm(norm, y - value * v)
         if not residual <= _RESIDUAL_REL * norm:
             raise OracleError(
                 f"bare-level residual exceeds {_RESIDUAL_REL:g} * ||H|| at {value:.6g}"
@@ -240,28 +240,6 @@ def discretize(model: ModelKind, grid: Grid1D) -> DiscreteHamiltonian:
     return DiscreteHamiltonian(diag, -1.0 / h**2, level_scale, _MODELS[model].n_min)
 
 
-@dataclass(frozen=True)
-class EmbeddedOperator:
-    """Real symmetric form [[H, c], [c, -H]] of the embedding, c = |alpha*W|."""
-
-    hamiltonian: DiscreteHamiltonian
-    coupling: float
-
-    @property
-    def size(self) -> int:
-        return 2 * self.hamiltonian.size
-
-    def apply(self, v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Block matvec (used for the Rayleigh quotient and residual)."""
-        c = self.coupling
-        return self.hamiltonian.apply(v1) + c * v2, c * v1 - self.hamiltonian.apply(v2)
-
-
-def embed(h: DiscreteHamiltonian, alpha: float, w: complex) -> EmbeddedOperator:
-    """Real form of the embedding of i*H + j*alpha*W; at alpha = 0 it is diag(H, -H)."""
-    return EmbeddedOperator(hamiltonian=h, coupling=abs(alpha) * abs(w))
-
-
 def _unit(v: np.ndarray) -> np.ndarray:
     """`v` scaled in place to unit 2-norm."""
     with np.errstate(over="ignore"):
@@ -273,8 +251,17 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _block_vector(op: EmbeddedOperator, level: float,
-                  u_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _residual_norm(norm: float, *parts: np.ndarray) -> float:
+    """2-norm of the concatenated `parts`, summed in units of the power of two
+    just above the column norm `norm`.  The scaling is exact, so this is the
+    plain norm wherever its sum of squares stays normal; on a box whose
+    stencil entries are tiny, the plain squares of a residual underflow to
+    zero and the scaled ones do not."""
+    unit = math.ldexp(1.0, math.frexp(norm)[1])
+    return unit * math.hypot(*(float(np.linalg.norm(part / unit)) for part in parts))
+
+
+def _block_vector(c: float, level: float, u_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(a u, b u), with (a, b) the unit + eigenvector of [[e, c], [c, -e]] at e = `level`.
 
     W is constant, so R maps (a u, b u) to (a H u + b c u, a c u - b H u):
@@ -283,37 +270,37 @@ def _block_vector(op: EmbeddedOperator, level: float,
     eigenvector is taken in the form that adds rather than cancels,
     (rho + e, c) for e >= 0 and (c, rho - e) otherwise, rho = hypot(e, c).
     """
-    c = op.coupling
     rho = math.hypot(level, c)
     a, b = (rho + level, c) if level >= 0.0 else (c, rho - level)
     scale = math.hypot(a, b)
     return (a / scale) * u_vec, (b / scale) * u_vec
 
 
-def _residual(op: EmbeddedOperator, v1: np.ndarray, v2: np.ndarray) -> tuple[float, float]:
-    """Rayleigh quotient lam of the unit vector (v1, v2) and ||R v - lam v||."""
-    y1, y2 = op.apply(v1, v2)
+def _residual(h: DiscreteHamiltonian, c: float, v1: np.ndarray, v2: np.ndarray,
+              norm: float) -> tuple[float, float]:
+    """Rayleigh quotient lam of the unit vector (v1, v2) under R = [[H, c], [c, -H]]
+    and ||R v - lam v||, summed in units of `norm` (`_residual_norm`)."""
+    y1, y2 = h.apply(v1) + c * v2, c * v1 - h.apply(v2)
     lam = float(v1 @ y1 + v2 @ y2)
-    return lam, math.hypot(float(np.linalg.norm(y1 - lam * v1)),
-                           float(np.linalg.norm(y2 - lam * v2)))
+    return lam, _residual_norm(norm, y1 - lam * v1, y2 - lam * v2)
 
 
-def _column_norm(op: EmbeddedOperator) -> float:
-    """Largest column 2-norm of R (and of B), a lower bound on ||R||.
+def _column_norm(h: DiscreteHamiltonian, c: float) -> float:
+    """Largest column 2-norm of R = [[H, c], [c, -H]] (and of B), a lower bound on ||R||.
 
     Column i of either block holds the diagonal entry d_i, the coupling and
     one off-diagonal entry per neighbour (the end columns have one).
     """
-    h = op.hamiltonian
-    scale = max(float(np.abs(h.diagonal).max()), abs(h.off_diagonal), op.coupling) or 1.0
+    scale = max(float(np.abs(h.diagonal).max()), abs(h.off_diagonal), c) or 1.0
     o2 = (h.off_diagonal / scale) ** 2
     squares = (h.diagonal / scale) ** 2 + 2.0 * o2
     squares[0] -= o2
     squares[-1] -= o2
-    return scale * math.sqrt(float(squares.max()) + (op.coupling / scale) ** 2)
+    return scale * math.sqrt(float(squares.max()) + (c / scale) ** 2)
 
 
-def _count_below(op: EmbeddedOperator, lower: float, upper: float) -> tuple[int, int]:
+def _count_below(h: DiscreteHamiltonian, c: float, lower: float,
+                 upper: float) -> tuple[int, int]:
     """Numbers of eigenvalues of the embedding strictly below `lower` and `upper`.
 
     Sylvester's law of inertia through the congruence that diagonalizes H.
@@ -327,12 +314,12 @@ def _count_below(op: EmbeddedOperator, lower: float, upper: float) -> tuple[int,
     varies from site to site couples the levels, and needs a count over
     the pivots of R itself.
     """
-    return _count_at(op, lower), _count_at(op, upper)
+    return _count_at(h, c, lower), _count_at(h, c, upper)
 
 
-def _count_at(op: EmbeddedOperator, sigma: float) -> int:
+def _count_at(h: DiscreteHamiltonian, c: float, sigma: float) -> int:
     """Number of eigenvalues of the embedding strictly below `sigma` (see `_count_below`)."""
-    h, c, s = op.hamiltonian, op.coupling, abs(sigma)
+    s = abs(sigma)
     if s < c or (s == c and sigma > 0.0):
         return h.size
     if s == c:
@@ -351,9 +338,9 @@ def _count_at(op: EmbeddedOperator, sigma: float) -> int:
     return h.size - h._levels_in(math.nextafter(-t, -math.inf), t)
 
 
-def _certified_eigenpair(op: EmbeddedOperator, index: int, level: float,
+def _certified_eigenpair(h: DiscreteHamiltonian, c: float, index: int, level: float,
                          u_vec: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Eigenpair at sorted position `index` of the embedding, from the bare pair of H.
+    """Eigenpair at sorted position `index` of R = [[H, c], [c, -H]], from the bare pair of H.
 
     `level` and the unit `u_vec` are a certified level of H and its vector
     (`DiscreteHamiltonian.eigenpair`); `_block_vector` lifts them to
@@ -366,15 +353,15 @@ def _certified_eigenpair(op: EmbeddedOperator, index: int, level: float,
     one eigenvalue, the one at `index`, lies within
     max(||R v - lam v||, 1e-12 * norm) of lam.
     """
-    v1, v2 = _block_vector(op, level, u_vec)
-    lam, residual = _residual(op, v1, v2)
-    norm = _column_norm(op)
-    if residual > _RESIDUAL_REL * norm:
+    v1, v2 = _block_vector(c, level, u_vec)
+    norm = _column_norm(h, c)
+    lam, residual = _residual(h, c, v1, v2, norm)
+    if not residual <= _RESIDUAL_REL * norm:
         raise OracleError(
             f"eigenpair residual exceeds {_RESIDUAL_REL:g} * ||B|| at {lam:.6g}"
         )
     delta = max(residual, _WINDOW_REL * norm)
-    below, through = _count_below(op, lam - delta, lam + delta)
+    below, through = _count_below(h, c, lam - delta, lam + delta)
     if (below, through) != (index, index + 1):
         raise OracleError(
             f"branch matching failed: {through - below} eigenvalue(s) within "
@@ -476,11 +463,11 @@ def oracle_compare(
     series_value = perturbed_energy(spec, 2 * order).value
     closed = closed_form_limit(spec)
 
-    op = embed(ham, alpha, abs(spec.w) * ham.level_scale)
+    c = abs(alpha) * (abs(spec.w) * ham.level_scale)
     tol = compare_tolerance(grid.n_points)
     try:
         # positive branch, ordering preserved
-        lam, v1, v2, residual = _certified_eigenpair(op, ham.size + m, e0_grid, u_vec)
+        lam, v1, v2, residual = _certified_eigenpair(ham, c, ham.size + m, e0_grid, u_vec)
         overlap = float(
             abs(u_vec @ v1) / (np.linalg.norm(u_vec) * np.linalg.norm(v1))
         )

@@ -37,6 +37,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
+_DIVERGENCE_WINDOW = 3  # growing even-order magnitude ratios that witness divergence
+
 
 class RadiusError(ValueError):
     """A value was requested outside the series' convergence radius."""
@@ -262,15 +264,15 @@ def perturbed_energy(spec: PerturbationSpec, max_order: int = 100) -> SeriesEval
     )
 
 
-def divergence_witness(evaluation: SeriesEvaluation, window: int = 3) -> bool:
+def divergence_witness(evaluation: SeriesEvaluation) -> bool:
     """True when the tail of the even-order term magnitudes is growing.
 
-    Checks that the last `window` consecutive even-order magnitude ratios
-    all exceed one, which inside the radius never happens (the ratios are
-    bounded by (|alpha*W| / |E|)**2 < 1 asymptotically).
+    Checks that the last `_DIVERGENCE_WINDOW` consecutive even-order
+    magnitude ratios all exceed one, which inside the radius never happens
+    (the ratios are bounded by (|alpha*W| / |E|)**2 < 1 asymptotically).
     """
     mags = [abs(t) for t in evaluation.terms[1::2] if t != 0.0]
-    if len(mags) < window + 1:
+    if len(mags) < _DIVERGENCE_WINDOW + 1:
         return False
-    tail = mags[-(window + 1):]
+    tail = mags[-(_DIVERGENCE_WINDOW + 1):]
     return all(b > a for a, b in zip(tail, tail[1:]))

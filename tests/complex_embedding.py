@@ -63,23 +63,27 @@ def all_eigenvalues(ham, alpha, w):
     return sla.eig_banded(complex_band(ham, alpha, w), lower=False, eigvals_only=True)
 
 
-def real_band(op):
+def embed(ham, alpha, w):
+    """The pair (H, c) that fixes R = [[H, c], [c, -H]], c = |alpha*W|."""
+    return ham, abs(alpha) * abs(w)
+
+
+def real_band(h, c):
     """Upper symmetric band of R in interleaved (phi1_i, phi2_i) order.
 
     Interleaving turns the block matrix into a pentadiagonal one, which
     is what keeps the banded solve O(N).
     """
-    h = op.hamiltonian
-    band = np.zeros((3, op.size))
+    band = np.zeros((3, 2 * h.size))
     band[2, 0::2] = h.diagonal
     band[2, 1::2] = -h.diagonal
-    band[1, 1::2] = op.coupling
+    band[1, 1::2] = c
     band[0, 2::2] = h.off_diagonal
     band[0, 3::2] = -h.off_diagonal
     return band
 
 
-def inverse_iteration(op, eigenvalue, start):
+def inverse_iteration(h, c, eigenvalue, start):
     """Shifted inverse iteration from (start, 0); returns the block components (v1, v2).
 
     The shifted band is LU-factored once (LAPACK gbtrf, which needs two
@@ -89,8 +93,8 @@ def inverse_iteration(op, eigenvalue, start):
     of R but for the bare vector's own error, and the partner eigenvalue
     of the block sits 2|lambda| from the shift.
     """
-    n2 = op.size
-    band = real_band(op)
+    n2 = 2 * h.size
+    band = real_band(h, c)
     ab = np.zeros((7, n2))  # fill-in rows, then two rows each side
     ab[4, :] = band[2, :] - eigenvalue
     for k in (1, 2):
@@ -115,7 +119,7 @@ def second_block_phase(alpha, w):
     return -1j * cmath.exp(1j * cmath.phase(alpha * w))
 
 
-def sweep_count_below(op, lower, upper):
+def sweep_count_below(h, c, lower, upper):
     """Numbers of eigenvalues of the embedding below `lower` and `upper`, in O(N).
 
     Sylvester's law of inertia on the block LDL^T of R - sigma*I in the
@@ -130,13 +134,12 @@ def sweep_count_below(op, lower, upper):
     then restarts 2**-50 of the unit lower, so an eigenvalue at the shift
     itself is not counted.
     """
-    h = op.hamiltonian
-    largest = max(float(np.abs(h.diagonal).max()), abs(h.off_diagonal), op.coupling,
+    largest = max(float(np.abs(h.diagonal).max()), abs(h.off_diagonal), c,
                   abs(lower), abs(upper))
     scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
     diagonal = (h.diagonal / scale).tolist()
     o2 = (h.off_diagonal / scale) ** 2
-    c = op.coupling / scale
+    c /= scale
     s, t = lower / scale, upper / scale
     while True:
         below = through = 0

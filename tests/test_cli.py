@@ -225,7 +225,9 @@ def test_oracle_tolerance_failure_exits_two(run_cli):
     # on the two absurd oscillator boxes the bare level is off by ~1e147 and
     # ~1e55 times, and the embedding fails its inertia check (two eigenvalues
     # in the window), yet the run ends as the grid FAIL, not as exit 1; past
-    # 1e6 % the grid error prints in three significant digits
+    # 1e6 % the grid error prints in three significant digits; the uncertified
+    # embedding cells are empty in CSV and null in JSON
+    embedding = ("oracle_eigenvalue", "rel_oracle_vs_closed", "rel_oracle_vs_series")
     for args, message, certified in [
         (("--model", "well", "--n", "1", "--alpha", "0.45", "--grid", "500", "--order", "1"),
          "exceeds tolerance", True),
@@ -244,8 +246,14 @@ def test_oracle_tolerance_failure_exits_two(run_cli):
         header, rows = parse_csv(proc.stdout)  # report still emitted, marked FAIL
         assert rows[0][-1] == "FAIL"
         report = dict(zip(header, rows[0]))
-        for column in ("oracle_eigenvalue", "rel_oracle_vs_closed", "rel_oracle_vs_series"):
+        for column in embedding:
             assert (report[column] != "") == certified
+        if not certified:
+            payload = json.loads(run_cli("oracle", *args, "--format", "json", expect=2).stdout)
+            (row,) = payload["rows"]
+            report = dict(zip(payload["columns"], row))
+            assert report["status"] == "FAIL"
+            assert [report[column] for column in embedding] == [None] * 3
 
 
 def test_oracle_rejects_hydrogen(run_cli):

@@ -14,6 +14,7 @@ from complex_embedding import (
     complex_band,
     dense_b,
     dense_h,
+    embed,
     inverse_iteration,
     real_band,
     second_block_phase,
@@ -38,7 +39,6 @@ from quatpert.oracle import (
     compare_tolerance,
     default_grid,
     discretize,
-    embed,
     oracle_compare,
 )
 from quatpert.quaternions import embed_block
@@ -140,8 +140,8 @@ def test_embedding_at_zero_strength_is_block_diagonal():
     np.testing.assert_array_equal(dense[:8, :8], h.astype(complex))
     np.testing.assert_array_equal(dense[8:, 8:], -h.astype(complex))
     assert np.all(dense[:8, 8:] == 0) and np.all(dense[8:, :8] == 0)
-    op = embed(ham, 0.0, 2.0)
-    assert op.coupling == 0.0 and not real_band(op)[1].any()
+    _, c = embed(ham, 0.0, 2.0)
+    assert c == 0.0 and not real_band(ham, c)[1].any()
 
 
 def test_embedding_is_hermitian_exactly():
@@ -159,7 +159,7 @@ def test_single_site_pair():
     # +/- sqrt(E0^2 + w^2), solvable by hand
     for e0, w, top in [(1.0, 1.0, math.sqrt(2.0)), (2.0, 1.5, 2.5), (2.0, 1.5j, 2.5)]:
         ham = toy_hamiltonian(e0)
-        band = real_band(embed(ham, 1.0, w))
+        band = real_band(*embed(ham, 1.0, w))
         assert sla.eig_banded(band, eigvals_only=True) == pytest.approx([-top, top])
         assert all_eigenvalues(ham, 1.0, w) == pytest.approx([-top, top])
         assert np.linalg.eigvalsh(dense_b(ham, 1.0, w)) == pytest.approx([-top, top])
@@ -271,15 +271,22 @@ def test_grid_warning_on_coarse_grid():
 
 
 def test_apply_matches_dense_matvec():
-    # B U v = U R v: the real matvec, mapped by U, is the complex one
+    # B U v = U R v: at random unit vectors v, the Rayleigh quotient and
+    # residual that _residual reads off the real matvec are those of U v
+    # under the complex B
     rng = np.random.default_rng(34)
     ham = discretize(OSC, Grid1D(-5.0, 5.0, 17))
     alpha, w = 0.8, 1.3 - 0.4j
-    u = second_block_phase(alpha, w)
-    v1, v2 = rng.standard_normal(17), rng.standard_normal(17)
-    y1, y2 = embed(ham, alpha, w).apply(v1, v2)
-    expected = dense_b(ham, alpha, w) @ np.concatenate([v1, u * v2])
-    np.testing.assert_allclose(np.concatenate([y1, u * y2]), expected, atol=1e-12)
+    u, b = second_block_phase(alpha, w), dense_b(ham, alpha, w)
+    h, c = embed(ham, alpha, w)
+    norm = _column_norm(h, c)
+    for _ in range(5):
+        v = rng.standard_normal(34)
+        v1, v2 = np.split(v / np.linalg.norm(v), 2)
+        lam, residual = _residual(h, c, v1, v2, norm)
+        uv = np.concatenate([v1, u * v2])
+        assert np.vdot(uv, b @ uv).real == pytest.approx(lam, abs=1e-13 * norm)
+        assert np.linalg.norm(b @ uv - lam * uv) == pytest.approx(residual, rel=1e-12)
 
 
 def test_size_guard(monkeypatch):
@@ -315,8 +322,8 @@ def test_residual_certification_rejects_a_poor_eigenvector(monkeypatch):
     block_vector = oracle_mod._block_vector
     rng = np.random.default_rng(35)
 
-    def perturbed(op, level, u_vec):
-        v1, v2 = block_vector(op, level, u_vec)
+    def perturbed(c, level, u_vec):
+        v1, v2 = block_vector(c, level, u_vec)
         v1 = v1 + 1e-3 * rng.standard_normal(v1.size)
         norm = math.hypot(np.linalg.norm(v1), np.linalg.norm(v2))
         return v1 / norm, v2 / norm
@@ -324,6 +331,27 @@ def test_residual_certification_rejects_a_poor_eigenvector(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_block_vector", perturbed)
     with pytest.raises(OracleError, match="eigenpair residual exceeds"):
         oracle_compare(WELL, 1, 0.2, Grid1D(0.0, 1.0, 200))
+
+
+def test_residual_gate_holds_on_tiny_stencil_entries(monkeypatch):
+    # h = 5e76, near the widest spacing discretize admits: the stencil
+    # entries are near 1e-153 and a residual's entries near 1e-162, whose
+    # plain squares underflow to zero.  A bare vector 2e-8 off the level's
+    # leaves a residual twice the 1e-8 gate, and the gate must see it
+    grid = Grid1D(0.0, 5e76 * 2001, 2000)
+    report = oracle_compare(WELL, 1, 0.1, grid)
+    assert report.passed and report.residual > 0.0
+    block_vector = oracle_mod._block_vector
+    noise = np.random.default_rng(40).standard_normal(grid.n_points)
+    noise /= np.linalg.norm(noise)
+
+    def perturbed(c, level, u_vec):
+        u_vec = u_vec + 2e-8 * noise
+        return block_vector(c, level, u_vec / np.linalg.norm(u_vec))
+
+    monkeypatch.setattr(oracle_mod, "_block_vector", perturbed)
+    with pytest.raises(OracleError, match="eigenpair residual exceeds"):
+        oracle_compare(WELL, 1, 0.1, grid)
 
 
 def test_branch_matching_rejects_the_wrong_level(monkeypatch):
@@ -336,14 +364,14 @@ def test_branch_matching_rejects_the_wrong_level(monkeypatch):
     # the pair built from the n = 2 level and vector: the inertia count rejects it
     with monkeypatch.context() as patch:
         patch.setattr(oracle_mod, "_block_vector",
-                      lambda op, level, u_vec: block_vector(op, e2, u2))
+                      lambda c, level, u_vec: block_vector(c, e2, u2))
         with pytest.raises(OracleError, match="branch matching failed: .* expected one"):
             oracle_compare(WELL, 1, 0.2, grid)
     # the n = 1 level's block on the n = 2 vector: (a, b) is no eigenvector of
     # the n = 2 block, and the residual gate rejects it
     with monkeypatch.context() as patch:
         patch.setattr(oracle_mod, "_block_vector",
-                      lambda op, level, u_vec: block_vector(op, level, u2))
+                      lambda c, level, u_vec: block_vector(c, level, u2))
         with pytest.raises(OracleError, match=re.escape(
                 "eigenpair residual exceeds 1e-08 * ||B|| at 38.1179")):
             oracle_compare(WELL, 1, 0.2, grid)
@@ -354,7 +382,7 @@ def test_branch_matching_rejects_the_wrong_level(monkeypatch):
         patch.setattr(DiscreteHamiltonian, "eigenpair",
                       lambda self, index, guess: (eigenpair(self, index, guess)[0], u2))
         patch.setattr(oracle_mod, "_block_vector",
-                      lambda op, level, u_vec: block_vector(op, e1, u1))
+                      lambda c, level, u_vec: block_vector(c, e1, u1))
         with pytest.raises(OracleError, match=r"branch matching failed for well n=1 \(overlap"):
             oracle_compare(WELL, 1, 0.2, grid)
     # the n = 2 bare level as a whole is off its analytic value by 300%: that
@@ -465,36 +493,36 @@ def test_inertia_count_matches_the_full_spectrum():
         eigs = np.sort(all_eigenvalues(ham, alpha, w))
         span = 1.1 * max(abs(eigs[0]), abs(eigs[-1]))
         for lower, upper in rng.uniform(-span, span, (40, 2)):
-            assert _count_below(op, lower, upper) == tuple(np.searchsorted(eigs, [lower, upper]))
+            assert _count_below(*op, lower, upper) == tuple(np.searchsorted(eigs, [lower, upper]))
 
 
 def test_inertia_count_on_an_exact_eigenvalue():
     # a zero pivot is stepped round, not divided by: an eigenvalue at sigma
     # itself is not counted, and each end of the sweep restarts on its own
     op = embed(toy_hamiltonian(1.0), 0.0, 0.0)  # spectrum -1, 1
-    assert [_count_below(op, s, s) for s in (-1.0, 1.0, 0.0, 2.0)] == [
+    assert [_count_below(*op, s, s) for s in (-1.0, 1.0, 0.0, 2.0)] == [
         (0, 0), (1, 1), (1, 1), (2, 2)]
     two_sites = DiscreteHamiltonian(diagonal=np.array([1.0, 2.0]), off_diagonal=0.0)
     op = embed(two_sites, 0.0, 0.0)  # spectrum -2, -1, 1, 2
-    assert [_count_below(op, s, s) for s in (-2.0, -1.0, 1.0, 2.0)] == [
+    assert [_count_below(*op, s, s) for s in (-2.0, -1.0, 1.0, 2.0)] == [
         (0, 0), (1, 1), (2, 2), (3, 3)]
-    assert _count_below(op, -1.0, 1.5) == (1, 3) and _count_below(op, 1.5, 2.0) == (3, 3)
+    assert _count_below(*op, -1.0, 1.5) == (1, 3) and _count_below(*op, 1.5, 2.0) == (3, 3)
 
 
 def _assert_counts_agree(op, eigs, pairs):
     """The congruence count, the reference block sweep and the sorted spectrum agree."""
     for lower, upper in pairs:
         want = tuple(int(k) for k in np.searchsorted(eigs, [lower, upper]))
-        assert _count_below(op, lower, upper) == sweep_count_below(op, lower, upper) == want
+        assert _count_below(*op, lower, upper) == sweep_count_below(*op, lower, upper) == want
 
 
 def test_congruence_count_matches_the_block_sweep_on_the_certification_windows(monkeypatch):
     # the windows lam +- delta that certify the 33 criterion-6 cases at N = 500
     windows = []
 
-    def recording(op, lower, upper):
-        windows.append((op, lower, upper))
-        return _count_below(op, lower, upper)
+    def recording(h, c, lower, upper):
+        windows.append(((h, c), lower, upper))
+        return _count_below(h, c, lower, upper)
 
     monkeypatch.setattr(oracle_mod, "_count_below", recording)
     for model, n in CRITERION_6_LEVELS:
@@ -508,7 +536,7 @@ def test_congruence_count_matches_the_block_sweep_on_the_certification_windows(m
             (op, lower, upper), = windows
             index = ham.size + ham.level_index(n)
             _assert_counts_agree(op, all_eigenvalues(ham, alpha, w), [(lower, upper)])
-            assert _count_below(op, lower, upper) == (index, index + 1)
+            assert _count_below(*op, lower, upper) == (index, index + 1)
 
 
 @pytest.mark.parametrize("n_points", [3, 8, 64])
@@ -560,11 +588,11 @@ def test_real_form_is_similar_to_the_complex_embedding(n_points):
             alpha, w = 0.4, 1.3 * ham.level_scale * cmath.exp(1j * phase)
             op, b, u = embed(ham, alpha, w), dense_b(ham, alpha, w), second_block_phase(alpha, w)
             eigs, vectors = np.linalg.eigh(b)
-            band_eigs = sla.eig_banded(real_band(op), eigvals_only=True)
+            band_eigs = sla.eig_banded(real_band(*op), eigvals_only=True)
             assert band_eigs == pytest.approx(eigs, rel=1e-12)
             index = ham.size
-            lam, v1, v2, residual = _certified_eigenpair(op, index, e0, u_vec)
-            norm = _column_norm(op)
+            lam, v1, v2, residual = _certified_eigenpair(*op, index, e0, u_vec)
+            norm = _column_norm(*op)
             uv = np.concatenate([v1, u * v2])
             # B and R give the certified residual to roundoff
             assert np.linalg.norm(b @ uv - lam * uv) == pytest.approx(residual * norm,
@@ -574,7 +602,7 @@ def test_real_form_is_similar_to_the_complex_embedding(n_points):
             p2 = v2 + 1e-6 * rng.standard_normal(v2.size)
             scale = math.hypot(np.linalg.norm(p1), np.linalg.norm(p2))
             p1, p2 = p1 / scale, p2 / scale
-            lam_p, residual_p = _residual(op, p1, p2)
+            lam_p, residual_p = _residual(*op, p1, p2, norm)
             up = np.concatenate([p1, u * p2])
             assert np.vdot(up, b @ up).real == pytest.approx(lam_p, rel=1e-12)
             assert np.linalg.norm(b @ up - lam_p * up) == pytest.approx(residual_p, rel=1e-10)
@@ -589,7 +617,7 @@ def test_real_form_is_similar_to_the_complex_embedding(n_points):
             midpoints = ((eigs[1:] + eigs[:-1]) / 2)[split]
             shifts = np.concatenate([rng.uniform(-span, span, 20), midpoints])
             for lower, upper in zip(shifts, rng.permutation(shifts)):
-                assert _count_below(op, lower, upper) == tuple(np.searchsorted(eigs, [lower, upper]))
+                assert _count_below(*op, lower, upper) == tuple(np.searchsorted(eigs, [lower, upper]))
 
 
 @pytest.mark.parametrize("n_points", [3, 8, 64])
@@ -603,26 +631,17 @@ def test_inertia_sweep_on_exact_eigenvalues(n_points):
         assert np.linalg.eigvalsh(dense_b(ham, 1.0, w)) == pytest.approx(exact, rel=1e-12)
         for lower in (-13.0, -5.0, 5.0, 13.0):
             for upper in (-13.0, -5.0, 5.0, 13.0):
-                assert _count_below(op, lower, upper) == tuple(
+                assert _count_below(*op, lower, upper) == tuple(
                     np.searchsorted(exact, [lower, upper]))
 
 
 def test_column_norm_is_a_lower_bound_on_the_norm():
     for model in (WELL, OSC):
         ham = discretize(model, default_grid(model, 40))
-        op = embed(ham, 0.7, 1.1 - 0.2j)
+        norm = _column_norm(*embed(ham, 0.7, 1.1 - 0.2j))
         dense = dense_b(ham, 0.7, 1.1 - 0.2j)
-        assert _column_norm(op) == pytest.approx(np.linalg.norm(dense, axis=0).max(), rel=1e-14)
-        assert _column_norm(op) <= np.abs(np.linalg.eigvalsh(dense)).max()
-
-
-def _scaled_residual(op, v1, v2, lam):
-    """||R v - lam v||, summed in units of the largest column norm so that
-    the squares of the 1e-158 residual entries of the 1e76 box stay normal."""
-    scale = _column_norm(op)
-    y1, y2 = op.apply(v1, v2)
-    return scale * math.hypot(np.linalg.norm((y1 - lam * v1) / scale),
-                              np.linalg.norm((y2 - lam * v2) / scale))
+        assert norm == pytest.approx(np.linalg.norm(dense, axis=0).max(), rel=1e-14)
+        assert norm <= np.abs(np.linalg.eigvalsh(dense)).max()
 
 
 def _assert_block_pair_matches_the_iteration(op, index, level, u_vec, eigs):
@@ -630,12 +649,15 @@ def _assert_block_pair_matches_the_iteration(op, index, level, u_vec, eigs):
     inverse iteration from it agree: their Rayleigh quotients to 1e-12
     relative, and their vectors up to sign within twice the sum of their
     sin-theta bounds residual / gap, the gap read off the sorted spectrum."""
-    v1, v2 = oracle_mod._block_vector(op, level, u_vec)
-    r1, r2 = inverse_iteration(op, math.hypot(level, op.coupling), u_vec)
-    lam, ref = _residual(op, v1, v2)[0], _residual(op, r1, r2)[0]
+    h, c = op
+    norm = _column_norm(h, c)
+    v1, v2 = oracle_mod._block_vector(c, level, u_vec)
+    r1, r2 = inverse_iteration(h, c, math.hypot(level, c), u_vec)
+    lam, residual = _residual(h, c, v1, v2, norm)
+    ref, ref_residual = _residual(h, c, r1, r2, norm)
     assert lam == pytest.approx(ref, rel=1e-12)
     gap = np.abs(np.delete(eigs, index) - lam).min()
-    bound = 2.0 * (_scaled_residual(op, v1, v2, lam) + _scaled_residual(op, r1, r2, ref)) / gap
+    bound = 2.0 * (residual + ref_residual) / gap
     sign = math.copysign(1.0, v1 @ r1 + v2 @ r2)
     assert math.hypot(np.linalg.norm(v1 - sign * r1), np.linalg.norm(v2 - sign * r2)) <= bound
 
@@ -649,14 +671,13 @@ def test_block_vector_carries_the_bare_residual():
     ham = discretize(OSC, default_grid(OSC, 64))
     for shift, coupling in [(0.0, 0.0), (0.0, 3.0), (-500.0, 0.0), (-500.0, 3.0), (-1e4, 40.0)]:
         shifted = DiscreteHamiltonian(ham.diagonal + shift, ham.off_diagonal)
-        op = embed(shifted, 1.0, coupling)
         u_vec = rng.standard_normal(shifted.size)
         u_vec /= np.linalg.norm(u_vec)
         level = float(u_vec @ shifted.apply(u_vec))
         bare = np.linalg.norm(shifted.apply(u_vec) - level * u_vec)
-        v1, v2 = oracle_mod._block_vector(op, level, u_vec)
+        v1, v2 = oracle_mod._block_vector(coupling, level, u_vec)
         assert math.hypot(np.linalg.norm(v1), np.linalg.norm(v2)) == pytest.approx(1.0, rel=4 * eps)
-        lam, residual = _residual(op, v1, v2)
+        lam, residual = _residual(shifted, coupling, v1, v2, _column_norm(shifted, coupling))
         assert lam == pytest.approx(math.hypot(level, coupling), rel=1e-12)
         assert residual == pytest.approx(bare, rel=1e-12)
     for level, coupling, want in [(2.0, 0.0, (1.0, 0.0)), (-2.0, 0.0, (0.0, 1.0)),
@@ -666,8 +687,7 @@ def test_block_vector_carries_the_bare_residual():
                                   # hypot(e, c) - |e| rounds to 0 here: only the
                                   # non-cancelling form keeps the small component
                                   (1e8, 1.0, (1.0, 5e-9)), (-1e8, 1.0, (5e-9, 1.0))]:
-        v1, v2 = oracle_mod._block_vector(embed(toy_hamiltonian(level), 1.0, coupling), level,
-                                          np.ones(1))
+        v1, v2 = oracle_mod._block_vector(coupling, level, np.ones(1))
         assert (v1[0], v2[0]) == pytest.approx(want, rel=1e-15)
 
 
@@ -741,10 +761,10 @@ def test_inverse_iteration_matches_two_banded_solves():
         alpha = 0.5 * alpha_max(model, n)
         ham = discretize(model, default_grid(model, 301))
         w = perturbation_spec(LevelSpec(model, n), alpha).w * ham.level_scale * cmath.exp(1j * phase)
-        op = embed(ham, alpha, w)
+        h, c = embed(ham, alpha, w)
         e0, u_vec = ham.eigenpair(ham.level_index(n), analytic_level(ham, model, n))
-        shift = math.hypot(e0, op.coupling)
-        v1, v2 = inverse_iteration(op, shift, u_vec)
+        shift = math.hypot(e0, c)
+        v1, v2 = inverse_iteration(h, c, shift, u_vec)
         got = np.concatenate([v1, second_block_phase(alpha, w) * v2])
         want = np.concatenate(_two_banded_solves(ham, alpha, w, shift, u_vec))
         # the near-singular complex solves leave a unit phase of roundoff on the vector
@@ -765,7 +785,7 @@ def test_inverse_iteration_nudges_an_exactly_singular_shift(monkeypatch):
     monkeypatch.setattr(complex_embedding, "_gbtrf", recording)
     three_sites = DiscreteHamiltonian(diagonal=np.array([1.0, 2.0, 3.0]), off_diagonal=0.0)
     op = embed(three_sites, 0.0, 0.0)  # spectrum -3, -2, -1, 1, 2, 3
-    v1, v2 = inverse_iteration(op, 2.0, np.full(3, 3**-0.5))
+    v1, v2 = inverse_iteration(*op, 2.0, np.full(3, 3**-0.5))
     assert infos[0] > 0 and infos[1:] == [0]
     v = np.concatenate([v1, v2])
     assert np.all(np.isfinite(v))
