@@ -79,8 +79,8 @@ _ORACLE_EXPORTS = {
 
 
 def __getattr__(name):
-    # The eigensolver stack (scipy) loads only when the oracle is touched,
-    # so the data-only commands start fast.
+    # numpy and scipy's LAPACK extension load only when the oracle is
+    # touched, so the data-only commands start fast.
     if name in _ORACLE_EXPORTS:
         from . import oracle
 

@@ -158,7 +158,7 @@ def cmd_levels(n_list, samples, ry):
 @click.option("--x-max", type=float, default=None, help="Override the box upper edge.")
 def cmd_oracle(model, n, alpha, grid_points, order, x_min, x_max):
     """Check the series and closed form against the embedded spectrum."""
-    from . import oracle as oracle_mod  # deferred: eigensolver stack loads only here
+    from . import oracle as oracle_mod  # deferred: numpy and LAPACK load only here
 
     kind = ModelKind(model)
     box_min, box_max = models._MODELS[kind].box  # the overrides apply before any grid check

@@ -47,21 +47,71 @@ branch, from the overlap of the first block with the unperturbed
 eigenvector of H.  That overlap is 1 by construction for constant W, so
 the inertia count alone certifies the branch; the check stays for a W
 that varies from site to site, which couples the levels.
+
+The LAPACK routines (`dgttrf`, `dgttrs`, `dstebz`) come from scipy's
+compiled extension `scipy/linalg/_flapack`, loaded by file
+(`_load_flapack`): importing the oracle loads numpy and that extension, not
+the `scipy` and `scipy.linalg` packages, whose init was about half the wall
+time of a cold `oracle` command.  Where the file cannot be found or loaded,
+the same routines come from the public `scipy.linalg.lapack.get_lapack_funcs`.
+Checked with scipy 1.17.1.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .models import _MODELS, LevelSpec, ModelKind, _outside, alpha_max, perturbation_spec
 from .series import RadiusError, closed_form_limit, perturbed_energy
 
-_gttrf, _gttrs, _stebz = get_lapack_funcs(("gttrf", "gttrs", "stebz"), dtype=np.float64)
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK extension, loaded by file; None if it cannot be.
+
+    `find_spec` locates the scipy install without running it, so neither the
+    `scipy` nor the `scipy.linalg` package initialises.  A copy that
+    `scipy.linalg` already loaded is reused, and one loaded here is
+    registered under its own name, so a later `import scipy.linalg` reuses it.
+    """
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        return None
+    stem = os.path.join(os.path.dirname(spec.origin), "linalg", "_flapack")
+    paths = [stem + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.isfile(stem + s)]
+    if not paths:
+        return None
+    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, paths[0])
+    try:
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+        loader.exec_module(module)
+    except (ImportError, OSError):
+        return None
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+def _lapack_routines():
+    """`dgttrf`, `dgttrs` and `dstebz`: from the extension file, else from scipy.linalg."""
+    module = _load_flapack()
+    if module is None:
+        from scipy.linalg.lapack import get_lapack_funcs
+
+        return get_lapack_funcs(("gttrf", "gttrs", "stebz"), dtype=np.float64)
+    return module.dgttrf, module.dgttrs, module.dstebz
+
+
+_gttrf, _gttrs, _stebz = _lapack_routines()
 
 MAX_EMBEDDED_SIZE = 131072  # 2N; bounds the O(N) vectors of H and the embedded pair
 

@@ -471,7 +471,9 @@ quatpert.embed_block(1j, 0.5)
 assert "numpy" in sys.modules and "scipy" not in sys.modules
 for name in quatpert.__all__:
     getattr(quatpert, name)
-assert "scipy" in sys.modules
+# the oracle loads scipy's LAPACK extension by file, not the scipy packages
+assert "numpy" in sys.modules and "scipy.linalg._flapack" in sys.modules
+assert "scipy" not in sys.modules and "scipy.linalg" not in sys.modules
 assert len(set(quatpert.__all__)) == len(quatpert.__all__)
 assert oracle_names <= set(quatpert.__all__)
 """
@@ -499,3 +501,107 @@ assert not loaded, loaded
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "levels.csv").read_text().startswith("n,alphaW_eV,")
+
+
+ORACLE_SCRIPT = """
+import sys
+from quatpert.cli import main
+assert main({argv!r}) == 0
+"""
+
+
+def golden_oracle_csv():
+    with open(os.path.join(DATA_DIR, "oracle.csv"), newline="") as golden:
+        return golden.read()
+
+
+def test_oracle_command_loads_neither_scipy_nor_scipy_linalg():
+    script = ORACLE_SCRIPT.format(argv=list(README_COMMANDS["oracle"])) + """
+loaded = sorted({"scipy", "scipy.linalg"} & set(sys.modules))
+assert not loaded, loaded
+"""
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden_oracle_csv()
+
+
+# each makes the oracle's lookup of scipy's LAPACK extension file miss; only
+# importlib.util's own names are patched, not those the import system uses
+EXTENSION_MISSES = {
+    "no spec": """
+import importlib.util
+find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *a: None if name == "scipy" else find_spec(name, *a)
+""",
+    "no file": """
+import importlib.machinery
+importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
+""",
+    "unloadable file": """
+import importlib.machinery, importlib.util, os
+os.makedirs(os.path.join({tmp!r}, "scipy", "linalg"))
+init = os.path.join({tmp!r}, "scipy", "__init__.py")
+open(init, "w").close()
+stem = os.path.join({tmp!r}, "scipy", "linalg", "_flapack")
+with open(stem + importlib.machinery.EXTENSION_SUFFIXES[0], "wb") as so:
+    so.write(b"not a shared object")
+find_spec = importlib.util.find_spec
+fake = importlib.util.spec_from_file_location("scipy", init)
+importlib.util.find_spec = lambda name, *a: fake if name == "scipy" else find_spec(name, *a)
+""",
+    "loader OSError": """
+import importlib.util
+module_from_spec = importlib.util.module_from_spec
+def failing(spec):
+    if spec.name == "scipy.linalg._flapack":
+        raise OSError("cannot open shared object file")
+    return module_from_spec(spec)
+importlib.util.module_from_spec = failing
+""",
+}
+
+BOUND_ARE_PUBLIC = """
+import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
+public = get_lapack_funcs(("gttrf", "gttrs", "stebz"), dtype=np.float64)
+assert all(a is b for a, b in zip(public, (oracle._gttrf, oracle._gttrs, oracle._stebz)))
+"""
+
+
+@pytest.mark.parametrize("miss", sorted(EXTENSION_MISSES))
+def test_oracle_falls_back_to_get_lapack_funcs(miss, tmp_path):
+    script = EXTENSION_MISSES[miss].format(tmp=str(tmp_path)) + """
+import sys
+import quatpert.oracle as oracle
+assert "scipy.linalg" in sys.modules, "the fallback imports scipy.linalg"
+""" + BOUND_ARE_PUBLIC + ORACLE_SCRIPT.format(argv=list(README_COMMANDS["oracle"]))
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden_oracle_csv()
+
+
+def test_scipy_linalg_imported_after_the_oracle_shares_its_routines():
+    script = """
+import sys
+import quatpert.oracle as oracle
+assert "scipy.linalg" not in sys.modules
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg
+assert sys.modules["scipy.linalg._flapack"] is flapack
+values = scipy.linalg.eigh_tridiagonal([2.0, 2.0, 2.0], [-1.0, -1.0], eigvals_only=True)
+assert abs(values[0] - (2 - 2 ** 0.5)) < 1e-12, values
+""" + BOUND_ARE_PUBLIC
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_reuses_the_extension_scipy_linalg_loaded_first():
+    script = """
+import sys
+import scipy.linalg
+flapack = sys.modules["scipy.linalg._flapack"]
+import quatpert.oracle as oracle
+assert sys.modules["scipy.linalg._flapack"] is flapack
+""" + BOUND_ARE_PUBLIC
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
