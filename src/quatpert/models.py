@@ -22,7 +22,6 @@ terms up through (alpha * |W| / 2E)**(2s).
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from .series import (
     PerturbationSpec,
     RadiusWarning,
     _catalan_terms,
+    _check_range,
     _closed_form,
     _outside_radius,
     perturbed_energy,
@@ -177,19 +177,31 @@ def perturbed_gap(model: ModelKind, n: int, alpha: float, order: int) -> float:
     """Perturbed gap Lambda(n, alpha) = level(n+1) - level(n), model units.
 
     A strength beyond either level's radius raises a :class:`RadiusWarning`
-    naming the binding level.
+    naming the binding level.  That level is summed first: its terms are
+    the larger at every order, so they leave double range first, and the
+    ValueError names that order.  A gap outside double range raises
+    ValueError naming series order 2*order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     lo, hi = LevelSpec(model, n), LevelSpec(model, n + 1)
-    binding = lo if alpha_max(model, n) <= alpha_max(model, n + 1) else hi
+    binding, other = (lo, hi) if alpha_max(model, n) <= alpha_max(model, n + 1) else (hi, lo)
     _warn_if_outside(binding, alpha)
-    return _level_value(hi, alpha, order) - _level_value(lo, alpha, order)
+    value = {level: _level_value(level, alpha, order) for level in (binding, other)}
+    gap = value[hi] - value[lo]
+    _check_range((gap,), "gap", step=2 * order)
+    return gap
 
 
 def sigma_ratio(model: ModelKind, n: int, alpha: float, order: int) -> float:
-    """Gap ratio sigma = Lambda/lambda from two perturbed levels."""
-    return perturbed_gap(model, n, alpha, order) / spectral_gap(model, n)
+    """Gap ratio sigma = Lambda/lambda from two perturbed levels.
+
+    A ratio that leaves double range raises ValueError naming series
+    order 2*order, as :func:`perturbed_gap` does for the gap.
+    """
+    sigma = perturbed_gap(model, n, alpha, order) / spectral_gap(model, n)
+    _check_range((sigma,), "gap ratio", step=2 * order)
+    return sigma
 
 
 def sigma_series(model: ModelKind, n: int, alpha: float, order: int) -> float:
@@ -197,8 +209,10 @@ def sigma_series(model: ModelKind, n: int, alpha: float, order: int) -> float:
 
     Matches :func:`sigma_ratio` term for term at every truncation order.
     Each level enters through y**s with y = (alpha/d)**2 or (d*alpha)**2,
-    and y <= 1/4 inside the pair radius; a term outside double range
-    raises ValueError.
+    and y <= 1/4 inside the pair radius.  The two levels' terms are walked
+    in step and the running sum checked at each order, so a term or a
+    partial gap ratio outside double range raises ValueError naming the
+    first series order at which either does.
     """
     _check_n(model, n)
     if order < 1:
@@ -216,13 +230,12 @@ def sigma_series(model: ModelKind, n: int, alpha: float, order: int) -> float:
         x_hi, x_lo = alpha / d_hi, alpha / d_lo
         w_hi, w_lo = d_hi, d_lo
         scale = 1.0 / (2 * n + 1) if well else 0.5
-    try:
-        y_hi, y_lo = x_hi**2, x_lo**2
-    except OverflowError:  # the order-2 term leaves double range with it
-        y_hi = y_lo = math.inf
+    # a square past double range is inf, and the kernel names order 2
+    terms = zip(_catalan_terms(x_hi * x_hi, order), _catalan_terms(x_lo * x_lo, order))
     total = 1.0
-    for hi, lo in zip(_catalan_terms(y_hi, order), _catalan_terms(y_lo, order)):
+    for s, (hi, lo) in enumerate(terms, 1):
         total += scale * (hi * w_hi - lo * w_lo)
+        _check_range((total,), "gap ratio", step=2 * s)
     return total
 
 

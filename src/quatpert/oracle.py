@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import _MODELS, LevelSpec, ModelKind, _outside, alpha_max, perturbation_spec
-from .series import RadiusError, closed_form_limit, perturbed_energy
+from .series import RadiusError, perturbed_energy
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -185,8 +185,11 @@ class DiscreteHamiltonian:
         in the window round the value.  If either check fails, the grid
         has moved the level past a neighbour: the iteration restarts once
         from the bisected root at `index`, and a second failure raises
-        OracleError.
+        OracleError.  Fewer than 3 grid points raise ValueError naming the
+        size, before any LAPACK call.
         """
+        if self.size < 3:
+            raise ValueError(f"eigenpair needs at least 3 grid points, got {self.size}")
         off = np.full(self.size - 1, self.off_diagonal)
         norm = _column_norm(self, 0.0)  # the columns of H itself
         try:
@@ -510,8 +513,9 @@ def oracle_compare(
     rel_grid_error = abs(e0_discrete - e0_analytic) / abs(e0_analytic)
     grid_warning = rel_grid_error > _GRID_WARNING_REL
 
-    series_value = perturbed_energy(spec, 2 * order).value
-    closed = closed_form_limit(spec)
+    # inside the radius the evaluation's limit is the closed form
+    evaluation = perturbed_energy(spec, 2 * order)
+    series_value, closed = evaluation.value, evaluation.limit_estimate
 
     c = abs(alpha) * (abs(spec.w) * ham.level_scale)
     tol = compare_tolerance(grid.n_points)

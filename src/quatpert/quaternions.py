@@ -40,7 +40,8 @@ class Quaternion:
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+        """sqrt(w**2 + x**2 + y**2 + z**2) without overflow or underflow of the squares."""
+        return math.hypot(self.w, self.x, self.y, self.z)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         return qmul(self, other)

@@ -33,7 +33,7 @@ concurrent callers never share state.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -120,8 +120,8 @@ def normalized_coefficient(s: int) -> int:
     return value if s % 2 == 1 else -value
 
 
-def _catalan_terms(x: float, count: int) -> list[float]:
-    """Terms (-1)**(t+1) * 2*Cat(t-1) * x**t for t = 1..count, in floats.
+def _catalan_terms(x: float, count: int) -> Iterator[float]:
+    """Yield (-1)**(t+1) * 2*Cat(t-1) * x**t for t = 1..count, in floats.
 
     Each term is the previous one times -x * Cat(t)/Cat(t-1) =
     -x * 2(2t-1)/(t+1), so a term is accurate wherever it lies in double
@@ -129,17 +129,17 @@ def _catalan_terms(x: float, count: int) -> list[float]:
     The step ratio is rounded once before it is applied, so exactness of
     integer-valued terms is not guaranteed by construction; at x = 1 the
     terms 2*Cat(t-1) are checked exact by test through t = 31, the last
-    that fits 53 bits.  A term outside double range raises ValueError
-    naming its series order 2t.
+    that fits 53 bits.  A term outside double range, an infinite x
+    included, raises ValueError naming its series order 2t when it is
+    reached, so a caller that walks two sequences in step learns the
+    first order at which either leaves range.
     """
-    terms = []
     term = 2.0 * x
     for t in range(1, count + 1):
         if not math.isfinite(term):
             raise ValueError(f"the order-{2 * t} series term exceeds double range")
-        terms.append(term)
+        yield term
         term *= -x * (4 * t - 2) / (t + 1)
-    return terms
 
 
 def _check_range(values: Sequence[float], what: str, step: int = 1) -> None:
@@ -158,10 +158,7 @@ def _order_terms(e0: float, ratio: float, max_order: int) -> list[float]:
     |W|/2E the coefficients E_s.  A value outside double range raises
     ValueError naming the first order that leaves it.
     """
-    try:
-        x = ratio**2
-    except OverflowError:  # the order-2 term leaves double range with it
-        x = math.inf
+    x = ratio * ratio  # past double range this is inf, and the order-2 term names it
     even = [e0 * term for term in _catalan_terms(x, max_order // 2)]
     _check_range(even, "coefficient", step=2)
     terms = [0.0] * max_order
@@ -196,10 +193,7 @@ def correction_coefficient_recurrence(spec: PerturbationSpec, s: int) -> float:
         return 0.0
     t_max = s // 2
     e = [0.0] * (t_max + 1)  # e[t] holds E_{2t}
-    try:
-        e[1] = spec.w_magnitude**2 / (2.0 * spec.e0)
-    except OverflowError:  # |W|**2 itself leaves double range
-        e[1] = math.inf
+    e[1] = spec.w_magnitude * spec.w_magnitude / (2.0 * spec.e0)  # +-inf past double range
     for t in range(2, t_max + 1):
         conv = 0.0
         for j in range(1, t):

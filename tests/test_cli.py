@@ -207,6 +207,16 @@ def test_oracle_pass_and_columns(run_cli):
     assert float(report["rel_oracle_vs_closed"]) <= float(report["tolerance"])
 
 
+@pytest.mark.parametrize("args", [
+    ("--model", "well", "--n", "1", "--grid", "8000"),
+    ("--model", "well", "--n", "1", "--grid", "65536"),
+    ("--model", "oscillator", "--n", "2", "--grid", "65536"),
+])
+def test_oracle_passes_on_fine_grids(run_cli, args):
+    proc = run_cli("oracle", *args, "--alpha", "0.25", expect=0)
+    assert proc.stdout.rstrip("\n").endswith(",PASS"), proc.stdout
+
+
 def test_oracle_zero_strength_columns_collapse(run_cli):
     proc = run_cli(
         "oracle", "--model", "oscillator", "--n", "0", "--alpha", "0",

@@ -120,6 +120,20 @@ def test_sigma_series_names_the_order_past_double_range():
             sigma_ratio(model, 1, 1e200, 5)
 
 
+def test_gap_ratio_routes_name_the_first_order_past_double_range():
+    # (model, n, alpha, order) and the first series order out of range:
+    # the lower level's term (its upper level's only at 116), a ratio whose
+    # terms and levels are finite, a partial ratio, and a bracket inf - inf
+    cases = [((WELL, 1, 1000.0, 60), 96), ((HYD, 30, 0.001, 550), 1100),
+             ((WELL, 100, 10201.0, 499), 998), ((WELL, 100, 7.9e157, 1), 2)]
+    for args, first in cases:
+        for route in (sigma_series, sigma_ratio):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RadiusWarning)
+                with pytest.raises(ValueError, match=f"the order-{first} .* exceeds double range"):
+                    route(*args)
+
+
 def test_sigma_limits():
     assert sigma_limit(HYD, 1, 0.125) == pytest.approx(0.9029640210815219, abs=1e-14)
     assert sigma_limit(WELL, 1, 1.0) == pytest.approx(0.7453559924999299, abs=1e-14)

@@ -119,6 +119,18 @@ def test_oscillator_discretization_reaches_half_quantum():
     assert lowest / ham.level_scale == pytest.approx(0.5, rel=1e-3)
 
 
+def test_eigenpair_refuses_fewer_than_three_points():
+    # below 3 points scipy's gttrf wrapper would raise its own size error
+    for size in (1, 2):
+        ham = DiscreteHamiltonian(diagonal=np.full(size, 2.0), off_diagonal=-1.0)
+        with pytest.raises(ValueError, match=f"at least 3 grid points, got {size}"):
+            ham.eigenpair(0, 1.0)
+    ham = DiscreteHamiltonian(diagonal=np.full(3, 2.0), off_diagonal=-1.0)
+    value, vec = ham.eigenpair(0, 0.5)  # levels 2 - sqrt(2), 2, 2 + sqrt(2)
+    assert value == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-14)
+    np.testing.assert_allclose(np.abs(vec), [0.5, math.sqrt(0.5), 0.5], atol=1e-12)
+
+
 def test_discretization_is_diagonally_dominant():
     # diagonal 2/h^2 + V with V >= 0 dominates the two off-diagonal -1/h^2
     for model in (WELL, OSC):

@@ -73,6 +73,12 @@ def test_norm_is_multiplicative():
         assert qmul(q, r).norm() == pytest.approx(q.norm() * r.norm(), rel=1e-12)
 
 
+def test_norm_stays_in_double_range():
+    # the squares of these components overflow and underflow
+    assert Quaternion(1e200).norm() == 1e200
+    assert Quaternion(3e-200, 4e-200).norm() == pytest.approx(5e-200, rel=1e-15)
+
+
 def test_symplectic_units():
     assert to_symplectic(I) == SymplecticPair(1j, 0j)
     assert to_symplectic(J) == SymplecticPair(0j, 1 + 0j)
