@@ -199,7 +199,7 @@ def cmd_series(e0, w_mod, alpha, max_order):
     spec = series.PerturbationSpec(e0=e0, w=complex(w_mod), alpha=alpha)
     evaluation = series.perturbed_energy(spec, max_order)
     try:  # the coefficients E_s are the terms of the series at alpha = 1
-        coefficients = series._order_terms(e0, abs(w_mod) / (2.0 * e0), max_order)
+        coefficients = series._order_terms(e0, abs(w_mod), max_order)
     except ValueError as exc:
         raise ValueError(f"coefficient column: {exc}") from None
     if evaluation.at_boundary:

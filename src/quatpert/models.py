@@ -32,8 +32,8 @@ from .series import (
     PerturbationSpec,
     RadiusWarning,
     _catalan_terms,
-    _check_range,
     _closed_form,
+    _finite,
     _outside_radius,
     perturbed_energy,
 )
@@ -188,9 +188,7 @@ def perturbed_gap(model: ModelKind, n: int, alpha: float, order: int) -> float:
     binding, other = (lo, hi) if alpha_max(model, n) <= alpha_max(model, n + 1) else (hi, lo)
     _warn_if_outside(binding, alpha)
     value = {level: _level_value(level, alpha, order) for level in (binding, other)}
-    gap = value[hi] - value[lo]
-    _check_range((gap,), "gap", step=2 * order)
-    return gap
+    return _finite(value[hi] - value[lo], f"order-{2 * order} gap")
 
 
 def sigma_ratio(model: ModelKind, n: int, alpha: float, order: int) -> float:
@@ -200,8 +198,7 @@ def sigma_ratio(model: ModelKind, n: int, alpha: float, order: int) -> float:
     order 2*order, as :func:`perturbed_gap` does for the gap.
     """
     sigma = perturbed_gap(model, n, alpha, order) / spectral_gap(model, n)
-    _check_range((sigma,), "gap ratio", step=2 * order)
-    return sigma
+    return _finite(sigma, f"order-{2 * order} gap ratio")
 
 
 def sigma_series(model: ModelKind, n: int, alpha: float, order: int) -> float:
@@ -235,7 +232,7 @@ def sigma_series(model: ModelKind, n: int, alpha: float, order: int) -> float:
     total = 1.0
     for s, (hi, lo) in enumerate(terms, 1):
         total += scale * (hi * w_hi - lo * w_lo)
-        _check_range((total,), "gap ratio", step=2 * s)
+        _finite(total, f"order-{2 * s} gap ratio")
     return total
 
 
@@ -246,12 +243,15 @@ def sigma_limit(model: ModelKind, n: int, alpha: float) -> float:
     only inside the pair radius. For alpha != 0 inside the pair radius,
     sigma < 1 for every model: each level moves to sign(E)*sqrt(E**2 + c),
     and sqrt(x**2 + c) - |x| decreases as |x| grows, so every gap contracts.
+    Where alpha*|W| or a resummed level leaves double range (the gap is
+    then inf - inf), raises ValueError("the resummed gap ratio exceeds
+    double range") instead of returning NaN.
     """
     _check_n(model, n)
     facts = _MODELS[model]
     aw = abs(alpha) * facts.w
     lam = _closed_form(facts.energy(n + 1), aw) - _closed_form(facts.energy(n), aw)
-    return lam / spectral_gap(model, n)
+    return _finite(lam / spectral_gap(model, n), "resummed gap ratio")
 
 
 def sigma_curve(

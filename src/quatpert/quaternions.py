@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .series import _finite
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -40,8 +42,12 @@ class Quaternion:
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def norm(self) -> float:
-        """sqrt(w**2 + x**2 + y**2 + z**2) without overflow or underflow of the squares."""
-        return math.hypot(self.w, self.x, self.y, self.z)
+        """sqrt(w**2 + x**2 + y**2 + z**2) without overflow or underflow of the squares.
+
+        A norm past double range raises ValueError("the quaternion norm
+        exceeds double range") instead of returning inf.
+        """
+        return _finite(math.hypot(self.w, self.x, self.y, self.z), "quaternion norm")
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         return qmul(self, other)

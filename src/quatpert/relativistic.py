@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import PerturbationSpec, _closed_form, _outside_radius, closed_form_limit
+from .series import PerturbationSpec, _closed_form, _finite, _outside_radius, closed_form_limit
 
 RYDBERG_EV = 13.6
 RYDBERG_EV_PRECISE = 13.605693
@@ -52,14 +52,18 @@ def _level_ev(n: int, rydberg_ev: float) -> float:
 
 
 def relativistic_energy(n: int, l: int, rydberg_ev: float = RYDBERG_EV) -> float:
-    """Kinetically corrected level energy in eV; rejects invalid (n, l)."""
+    """Kinetically corrected level energy in eV; rejects invalid (n, l).
+
+    R_y is squared by multiplication, so a level past double range (from a
+    huge or non-finite `rydberg_ev`) raises ValueError("the relativistic
+    level exceeds double range") rather than OverflowError or NaN.
+    """
     if not 0 <= l <= n - 1:  # empty for n < 1
         raise ValueError(f"invalid quantum numbers (n={n}, l={l})")
-    base = _level_ev(n, rydberg_ev)
-    correction = rydberg_ev**2 / (2.0 * ELECTRON_MASS_EV * n**4) * (
+    correction = rydberg_ev * rydberg_ev / (2.0 * ELECTRON_MASS_EV * n**4) * (
         8.0 * n / (2 * l + 1) - 3.0
     )
-    return base - correction
+    return _finite(_level_ev(n, rydberg_ev) - correction, "relativistic level")
 
 
 def quaternionic_hydrogen_energy(
@@ -109,21 +113,23 @@ def hydrogen_levels_vs_potential(
 ) -> list[tuple[int, float, float]]:
     """Level curves (n, alpha*|W| in eV, energy in eV).
 
-    For each n the coupling is sampled uniformly on [0, R_y/n**2]; the
+    For each n the coupling is sampled uniformly on [0, |R_y|/n**2]; the
     endpoint is the largest coupling the series radius admits, where the
     level reaches -sqrt(2) * R_y/n**2.  Each energy is `series._closed_form`
     of the sample, bit for bit `quaternionic_hydrogen_energy`, without a
-    spec per sample.
+    spec per sample.  A level, or a grid product top * (samples - 1), past
+    double range raises ValueError.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
     rows = []
     for n in n_list:
         e0 = _level_ev(n, rydberg_ev)
-        top = -e0
+        top = abs(e0)
         # one level and radius check per n: the samples never exceed the radius
         # top, because min() keeps the last one, which may round past it, on it
         closed_form_limit(PerturbationSpec(e0=e0, w=complex(top), alpha=1.0))
+        _finite(top * (samples - 1), "coupling grid")  # top * k must not overflow
         couplings = [min(top, top * k / (samples - 1)) for k in range(samples)]
         rows.extend((n, aw, _closed_form(e0, aw)) for aw in couplings)
     return rows

@@ -23,6 +23,12 @@ written once, in the float helper `_closed_form(e0, coupling)`, which
 `relativistic` share.  The radius rule is `_outside_radius(e0, coupling)`,
 read by `is_convergent` and by the level checks that hold no spec.
 
+The range rule has one wording, `_finite(value, what)`: a value past
+double range raises ValueError("the <what> exceeds double range"), so
+every public route returns finite numbers or raises.  `_check_range`
+names the first order of a sequence through it, and the series ratio
+coupling/2E is formed in one place, `_order_terms`.
+
 Only |W| and even powers of alpha enter, so results are invariant under
 alpha -> -alpha and under any phase rotation of W.
 
@@ -38,6 +44,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 _DIVERGENCE_WINDOW = 3  # growing even-order magnitude ratios that witness divergence
+_DBL_MIN = 2.2250738585072014e-308  # smallest normal double
 
 
 class RadiusError(ValueError):
@@ -52,7 +59,8 @@ class RadiusWarning(UserWarning):
 class PerturbationSpec:
     """Unperturbed level `e0`, complex amplitude `w`, real strength `alpha`.
 
-    `e0` must be nonzero: every correction coefficient divides by it.
+    `e0` must be nonzero: every correction coefficient divides by it.  All
+    three must be finite, and so must |w|, which every route reads.
     """
 
     e0: float
@@ -64,6 +72,7 @@ class PerturbationSpec:
             raise ValueError("e0 must be finite and nonzero")
         if not (math.isfinite(self.w.real) and math.isfinite(self.w.imag)):
             raise ValueError("w must be finite")
+        _finite(math.hypot(self.w.real, self.w.imag), "magnitude |w|")
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
 
@@ -142,24 +151,44 @@ def _catalan_terms(x: float, count: int) -> Iterator[float]:
         term *= -x * (4 * t - 2) / (t + 1)
 
 
+def _finite(value: float, what: str) -> float:
+    """`value` itself when finite; otherwise ValueError("the <what> exceeds double range").
+
+    The one wording of the range rule: every public route returns its
+    closed forms, levels and single checked values through this helper,
+    and `_check_range` raises through it.
+    """
+    if not math.isfinite(value):
+        raise ValueError(f"the {what} exceeds double range")
+    return value
+
+
 def _check_range(values: Sequence[float], what: str, step: int = 1) -> None:
     """Raise ValueError naming the first order whose value leaves double
     range; entry k of `values` belongs to order step * (k + 1)."""
     if not all(map(math.isfinite, values)):
         k = next(k for k, value in enumerate(values) if not math.isfinite(value))
-        raise ValueError(f"the order-{step * (k + 1)} {what} exceeds double range")
+        _finite(values[k], f"order-{step * (k + 1)} {what}")
 
 
-def _order_terms(e0: float, ratio: float, max_order: int) -> list[float]:
-    """e0 times the Catalan term of ratio**2 at each even order, 0.0 at each odd one.
+def _order_terms(e0: float, coupling: float, max_order: int) -> list[float]:
+    """e0 times the Catalan term of x = (coupling/2E)**2 at each even order, 0.0 at each odd one.
 
-    Entry s - 1 belongs to order s = 1..max_order.  With ratio =
-    alpha*|W|/2E these are the series terms alpha**s * E_s, with ratio =
-    |W|/2E the coefficients E_s.  A value outside double range raises
-    ValueError naming the first order that leaves it.
+    Entry s - 1 belongs to order s = 1..max_order.  With coupling =
+    |alpha*W| these are the series terms alpha**s * E_s, with coupling =
+    |W| the coefficients E_s.  The ratio coupling/2E is formed here alone,
+    as coupling / e0 / 2 so that no intermediate 2*e0 overflows.  Where x
+    underflows below the normal range the order-2 term is taken as
+    coupling * ratio, which keeps the bits x lost.  A value outside
+    double range raises ValueError naming the first order that leaves it;
+    the kernel works on x, so an x past double range is refused at order
+    2 even where e0 times it would fit (a subnormal e0).
     """
+    ratio = coupling / e0 / 2.0
     x = ratio * ratio  # past double range this is inf, and the order-2 term names it
     even = [e0 * term for term in _catalan_terms(x, max_order // 2)]
+    if even and x < _DBL_MIN:
+        even[0] = coupling * ratio
     _check_range(even, "coefficient", step=2)
     terms = [0.0] * max_order
     terms[1::2] = even
@@ -175,32 +204,37 @@ def correction_coefficient_closed(spec: PerturbationSpec, s: int) -> float:
     """
     if s < 1:
         raise ValueError("order must be >= 1")
-    return _order_terms(spec.e0, spec.w_magnitude / (2.0 * spec.e0), s)[-1]
+    return _order_terms(spec.e0, spec.w_magnitude, s)[-1]
 
 
 def correction_coefficient_recurrence(spec: PerturbationSpec, s: int) -> float:
     """Coefficient E_s of alpha**s from the convolution recurrence.
 
-    Seeds E_2 = |W|**2 / 2E and builds upward through
-    2E * E_2s = - sum_{t} E_2t * E_2(s-t); lower orders are memoized in a
-    local table, so the call is safe under concurrent use.  Agrees with
-    :func:`correction_coefficient_closed` at every order, and like it
-    raises ValueError naming the first order that leaves double range.
+    2E * E_2s = - sum_{t} E_2t * E_2(s-t) is carried in units of
+    E_2 = |W| * ratio, ratio = |W|/2E: h_t = E_2t / E_2 starts at h_1 = 1
+    and obeys h_s = -ratio**2 * sum_t h_t * h_(s-t), so no product scales
+    with E**2 or |W|**2 and E_2 keeps its bits where ratio**2 underflows.
+    Lower orders are memoized in a local table, so the call is safe under
+    concurrent use.  Agrees with :func:`correction_coefficient_closed` at
+    every order, and like it raises ValueError naming the first order that
+    leaves double range.
     """
     if s < 1:
         raise ValueError("order must be >= 1")
     if s % 2 == 1:
         return 0.0
     t_max = s // 2
-    e = [0.0] * (t_max + 1)  # e[t] holds E_{2t}
-    e[1] = spec.w_magnitude * spec.w_magnitude / (2.0 * spec.e0)  # +-inf past double range
+    ratio = spec.w_magnitude / spec.e0 / 2.0
+    h = [0.0, 1.0] + [0.0] * (t_max - 1)  # h[t] holds E_{2t} / E_2
     for t in range(2, t_max + 1):
         conv = 0.0
         for j in range(1, t):
-            conv += e[j] * e[t - j]
-        e[t] = -conv / (2.0 * spec.e0)
-    _check_range(e[1:], "coefficient", step=2)
-    return e[t_max]
+            conv += h[j] * h[t - j]
+        h[t] = -ratio * ratio * conv
+    e2 = spec.w_magnitude * ratio  # +-inf past double range
+    coefficients = [e2 * value for value in h[1:]]
+    _check_range(coefficients, "coefficient", step=2)
+    return coefficients[-1]
 
 
 def is_convergent(spec: PerturbationSpec) -> bool:
@@ -219,13 +253,15 @@ def closed_form_limit(spec: PerturbationSpec) -> float:
     The even coefficients are twice Catalan numbers, whose generating
     function sums the series to this square root inside the radius;
     high-order partial sums are checked against it in the test suite.
-    Refuses specs outside the convergence radius.
+    Refuses specs outside the convergence radius with RadiusError, and a
+    value past double range (at most sqrt(2)*|E|) with ValueError("the
+    closed form exceeds double range").
     """
     if not is_convergent(spec):
         raise RadiusError(
             f"|alpha*W| = {spec.coupling:.6g} exceeds |E0| = {abs(spec.e0):.6g}"
         )
-    return _closed_form(spec.e0, spec.coupling)
+    return _finite(_closed_form(spec.e0, spec.coupling), "closed form")
 
 
 def _closed_form(e0: float, coupling: float) -> float:
@@ -243,7 +279,7 @@ def perturbed_energy(spec: PerturbationSpec, max_order: int = 100) -> SeriesEval
     """
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
-    terms = _order_terms(spec.e0, spec.alpha * spec.w_magnitude / (2.0 * spec.e0), max_order)
+    terms = _order_terms(spec.e0, spec.coupling, max_order)
     partial_sums = tuple(accumulate(terms, initial=spec.e0))[1:]
     _check_range(partial_sums, "partial sum")
     in_radius = is_convergent(spec)

@@ -79,6 +79,12 @@ def test_norm_stays_in_double_range():
     assert Quaternion(3e-200, 4e-200).norm() == pytest.approx(5e-200, rel=1e-15)
 
 
+def test_norm_past_double_range_raises():
+    # hypot of two in-range components is past DBL_MAX
+    with pytest.raises(ValueError, match="the quaternion norm exceeds double range"):
+        Quaternion(0.0, 0.0, 1.7e308, 1.7e308).norm()
+
+
 def test_symplectic_units():
     assert to_symplectic(I) == SymplecticPair(1j, 0j)
     assert to_symplectic(J) == SymplecticPair(0j, 1 + 0j)

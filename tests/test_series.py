@@ -343,7 +343,8 @@ def test_out_of_double_range_names_the_order():
     # beyond the radius the terms pass 1.8e308 at some order
     with pytest.raises(ValueError, match=r"order-\d+ "):
         perturbed_energy(PerturbationSpec(e0=1.0, w=complex(1.5), alpha=1.0), 100000)
-    # a subnormal level puts even the first term out of range
+    # a subnormal level puts the kernel's x = (|W|/2E0)**2, and so its
+    # order-2 term, out of range, although that term times e0 (1.1e308) fits
     with pytest.raises(ValueError, match="order-2 "):
         perturbed_energy(PerturbationSpec(e0=1e-310, w=complex(0.15), alpha=1.0), 10)
     # the order-2 term 1.6e308 is finite, e0 plus it is not
@@ -366,3 +367,29 @@ def test_coefficients_past_double_range_name_the_order():
         assert route(spec, 2) == pytest.approx(5e307)
         with pytest.raises(ValueError, match="order-4 .*exceeds double range"):
             route(spec, 4)
+
+
+def test_coefficients_keep_their_value_at_the_edges_of_range():
+    # (e0, |W|) -> (E_2, E_4), where |W|*|W|, 2*E0 or (|W|/2E0)**2 leaves
+    # double range and E_2 does not
+    cases = {
+        (1e200, 1e200): (5e199, -1.25e199),
+        (1e308, 1e154): (0.5, -1.25e-309),
+        (1e300, 1e100): (5e-101, 0.0),  # (|W|/2E0)**2 underflows, E_2 does not
+        (1e-300, 1e-200): (5e-101, -1.25e99),
+    }
+    for (e0, w), (e2, e4) in cases.items():
+        spec = PerturbationSpec(e0=e0, w=complex(w))
+        for route in (correction_coefficient_closed, correction_coefficient_recurrence):
+            assert route(spec, 2) == pytest.approx(e2, rel=1e-14)
+        e4_got = correction_coefficient_recurrence(spec, 4)
+        assert e4_got == pytest.approx(e4, rel=1e-14, abs=1e-320)
+    # below the normal range only the magnitude of E_4 is meaningful
+    assert abs(correction_coefficient_closed(PerturbationSpec(1e308, complex(1e154)), 4)) < 2.3e-308
+    assert correction_coefficient_closed(
+        PerturbationSpec(1e200, complex(1e200)), 4
+    ) == pytest.approx(-1.25e199, rel=1e-14)
+    # the closed route's kernel works on x = (|W|/2E0)**2 = 2.5e199, whose
+    # order-4 term 2x**2 is past double range although E_4 fits
+    with pytest.raises(ValueError, match="the order-4 series term exceeds double range"):
+        correction_coefficient_closed(PerturbationSpec(e0=1e-300, w=complex(1e-200)), 4)
