@@ -63,6 +63,7 @@ def table_command(name, columns):
 
 
 quantum_number = click.IntRange(max=100000)  # lower bounds are the models' own
+_ORACLE_GRID_POINTS = 2**24  # rows x N of one oracle run: a few seconds of work
 
 
 def _check_table_size(flag, count, size_flag, size):
@@ -150,14 +151,17 @@ def cmd_levels(n_list, samples, ry):
 )
 @click.option("--model", required=True,
               type=click.Choice([m.value for m in ModelKind if models._MODELS[m].box]))
-@click.option("--n", type=quantum_number, required=True)
-@click.option("--alpha", type=float, required=True)
+@click.option("--n", "n_list", type=quantum_number, multiple=True, required=True,
+              help="Quantum number; repeatable.")
+@click.option("--alpha", "alphas", type=float, multiple=True, required=True,
+              help="Strength; repeatable.")
 @click.option("--grid", "grid_points", type=int, default=2000, show_default=True)
 @click.option("--order", type=click.IntRange(1, 50000), default=50, show_default=True)
 @click.option("--x-min", type=float, default=None, help="Override the box lower edge.")
 @click.option("--x-max", type=float, default=None, help="Override the box upper edge.")
-def cmd_oracle(model, n, alpha, grid_points, order, x_min, x_max):
-    """Check the series and closed form against the embedded spectrum."""
+def cmd_oracle(model, n_list, alphas, grid_points, order, x_min, x_max):
+    """Check the series and closed form against the embedded spectrum,
+    one row per (n, alpha)."""
     from . import oracle as oracle_mod  # deferred: numpy and LAPACK load only here
 
     kind = ModelKind(model)
@@ -167,23 +171,44 @@ def cmd_oracle(model, n, alpha, grid_points, order, x_min, x_max):
         box_max if x_max is None else x_max,
         grid_points,
     )
-    report = oracle_mod.oracle_compare(kind, n, alpha, grid, order)
-    row = [
-        report.model.value, report.n, report.alpha, report.grid_points, report.h,
-        report.e0_analytic, report.e0_discrete, report.series_value,
-        report.closed_form, report.oracle_value, report.rel_oracle_vs_closed,
-        report.rel_oracle_vs_series, report.rel_grid_error, report.tolerance,
-        "PASS" if report.passed else "FAIL",
-    ]
-    failure = None
+    _check_table_size("--n", len(n_list), "--alpha values", len(alphas))
+    pairs = [(n, alpha) for n in n_list for alpha in alphas]
+    oracle_mod._check_request(kind, pairs, grid)
+    if len(pairs) * grid.n_points > _ORACLE_GRID_POINTS:
+        raise ValueError(
+            f"{len(pairs)} (n, alpha) pairs x --grid {grid.n_points} = "
+            f"{len(pairs) * grid.n_points} grid points; a run solves at most "
+            f"{_ORACLE_GRID_POINTS}"
+        )
+    rows, failures = [], []  # failures: (n, alpha, message)
+    for n, alpha in pairs:
+        report = oracle_mod.oracle_compare(kind, n, alpha, grid, order)
+        rows.append([
+            report.model.value, report.n, report.alpha, report.grid_points, report.h,
+            report.e0_analytic, report.e0_discrete, report.series_value,
+            report.closed_form, report.oracle_value, report.rel_oracle_vs_closed,
+            report.rel_oracle_vs_series, report.rel_grid_error, report.tolerance,
+            "PASS" if report.passed else "FAIL",
+        ])
+        if (message := _oracle_failure(report)) is not None:
+            failures.append((n, alpha, message))
+    if len(pairs) == 1:  # one comparison keeps its one-line error
+        return rows, [], failures[0][2] if failures else None
+    notes = [f"n={n} alpha={alpha:.6g}: {message}" for n, alpha, message in failures]
+    summary = f"{len(failures)} of {len(rows)} comparisons failed" if failures else None
+    return rows, notes, summary
+
+
+def _oracle_failure(report):
+    """Why one oracle report is a FAIL, or None if it passed."""
     if report.grid_warning:
         error = report.rel_grid_error
         percent = f"{error:.2%}" if error <= 1e4 else f"{100 * error:.2e}%"
-        failure = f"grid level off by {percent} from the analytic value; refine the grid"
-    elif not report.passed:
+        return f"grid level off by {percent} from the analytic value; refine the grid"
+    if not report.passed:
         deviation = max(report.rel_oracle_vs_closed, report.rel_oracle_vs_series)
-        failure = f"oracle deviation {deviation:.3e} exceeds tolerance {report.tolerance:.3e}"
-    return [row], [], failure
+        return f"oracle deviation {deviation:.3e} exceeds tolerance {report.tolerance:.3e}"
+    return None
 
 
 @table_command(

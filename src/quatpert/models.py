@@ -31,6 +31,7 @@ from typing import NamedTuple
 from .series import (
     PerturbationSpec,
     RadiusWarning,
+    _N_MAX,
     _catalan_terms,
     _closed_form,
     _finite,
@@ -64,6 +65,8 @@ _MODELS = {
 def _check_n(model: ModelKind, n: int) -> None:
     if n < _MODELS[model].n_min:
         raise ValueError(f"{model.value} requires n >= {_MODELS[model].n_min}, got {n}")
+    if n > _N_MAX:
+        raise ValueError(f"{model.value} requires n <= 2**52, got {n}")
 
 
 @dataclass(frozen=True)
@@ -245,12 +248,18 @@ def sigma_limit(model: ModelKind, n: int, alpha: float) -> float:
     and sqrt(x**2 + c) - |x| decreases as |x| grows, so every gap contracts.
     Where alpha*|W| or a resummed level leaves double range (the gap is
     then inf - inf), raises ValueError("the resummed gap ratio exceeds
-    double range") instead of returning NaN.
+    double range") instead of returning NaN.  The level difference is
+    formed as (E1 - E0)(E1 + E0) / (level1 + level0), so it keeps its
+    digits where the two levels agree to many of theirs.
     """
     _check_n(model, n)
     facts = _MODELS[model]
     aw = abs(alpha) * facts.w
-    lam = _closed_form(facts.energy(n + 1), aw) - _closed_form(facts.energy(n), aw)
+    e0, e1 = facts.energy(n), facts.energy(n + 1)
+    l0, l1 = (_finite(_closed_form(e, aw), "resummed gap ratio") for e in (e0, e1))
+    # both levels share a sign, so l1 + l0 does not cancel, while l1 - l0
+    # would at large strengths: l1**2 - l0**2 = e1**2 - e0**2
+    lam = (e1 - e0) * (e1 + e0) / (l1 + l0)
     return _finite(lam / spectral_gap(model, n), "resummed gap ratio")
 
 

@@ -55,10 +55,21 @@ the `scipy` and `scipy.linalg` packages, whose init was about half the wall
 time of a cold `oracle` command.  Where the file cannot be found or loaded,
 the same routines come from the public `scipy.linalg.lapack.get_lapack_funcs`.
 Checked with scipy 1.17.1.
+
+The bare pair (e, u) depends on the model, n and the grid, not on alpha,
+and costs about as much as the rest of a call.  `_bare_level` computes it
+once per (model, n, grid) and keeps it in a least-recently-used cache of
+64 entries, so a strength sweep at one level solves H once; every
+per-strength gate still runs on every call.  An entry holds the diagonal
+of H and the bare vector, 16 bytes per grid point: 2 MB for 64 entries at
+N = 2000, 64 MB at most at N = 65536.  Both arrays are read-only, and a
+refusal or an OracleError is never cached, so it is raised again on every
+call.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -114,6 +125,8 @@ def _lapack_routines():
 _gttrf, _gttrs, _stebz = _lapack_routines()
 
 MAX_EMBEDDED_SIZE = 131072  # 2N; bounds the O(N) vectors of H and the embedded pair
+# criterion 6's sweep is 11 levels on 3 grids, 33 entries; see the module docstring
+_BARE_LEVEL_ENTRIES = 64
 
 _REFERENCE_GRID_POINTS = 2000
 _TOLERANCE_AT_REFERENCE = 1e-4  # relative, at N = 2000; scales with h**2
@@ -261,6 +274,20 @@ def _grid_model(model: ModelKind) -> ModelKind:
     return model
 
 
+def _check_box(model: ModelKind, grid: Grid1D) -> None:
+    """The stencil range rule of `discretize`, for a model that has a grid."""
+    h = grid.h
+    h2 = h * h
+    edge = max(abs(grid.x_min), abs(grid.x_max))
+    v_max = edge * edge if model is ModelKind.OSCILLATOR else 0.0
+    if not (0.0 < h2 * h2 <= 2.0**1022 and (bound := 4.0 / h2 + v_max) * bound < math.inf):
+        raise ValueError(
+            f"box [{grid.x_min:.6g}, {grid.x_max:.6g}] at N = {grid.n_points}: grid "
+            f"spacing {h:.6g} leaves 1/h**4 or the squared {model.value} stencil "
+            "bound 4/h**2 + max V outside the normal double range"
+        )
+
+
 def discretize(model: ModelKind, grid: Grid1D) -> DiscreteHamiltonian:
     """Tridiagonal H for the well or oscillator; hydrogen is rejected.
 
@@ -274,16 +301,8 @@ def discretize(model: ModelKind, grid: Grid1D) -> DiscreteHamiltonian:
     naming the box.
     """
     model = _grid_model(model)
+    _check_box(model, grid)
     h = grid.h
-    h2 = h * h
-    edge = max(abs(grid.x_min), abs(grid.x_max))
-    v_max = edge * edge if model is ModelKind.OSCILLATOR else 0.0
-    if not (0.0 < h2 * h2 <= 2.0**1022 and (bound := 4.0 / h2 + v_max) * bound < math.inf):
-        raise ValueError(
-            f"box [{grid.x_min:.6g}, {grid.x_max:.6g}] at N = {grid.n_points}: grid "
-            f"spacing {h:.6g} leaves 1/h**4 or the squared {model.value} stencil "
-            "bound 4/h**2 + max V outside the normal double range"
-        )
     if model is ModelKind.WELL:
         diag = np.full(grid.n_points, 2.0 / h**2)
         level_scale = math.pi**2 / (grid.x_max - grid.x_min) ** 2
@@ -472,6 +491,40 @@ def default_grid(model: ModelKind, n_points: int = 2000) -> Grid1D:
     return Grid1D(*_MODELS[_grid_model(model)].box, n_points)
 
 
+def _check_request(model: ModelKind, pairs, grid: Grid1D) -> None:
+    """Refuse what `oracle_compare` refuses before any work on the grid, for
+    every (n, alpha) of `pairs`: in this order, a strength outside its level
+    radius, an embedded size above MAX_EMBEDDED_SIZE, and a model without a
+    grid or a box outside the stencil rule of `discretize`."""
+    for n, alpha in pairs:
+        if _outside(LevelSpec(model, n), alpha):
+            raise RadiusError(
+                f"alpha={alpha:.6g} outside the {model.value} n={n} radius "
+                f"{alpha_max(model, n):.6g}"
+            )
+    if 2 * grid.n_points > MAX_EMBEDDED_SIZE:  # before any O(N) work on the grid
+        raise ValueError(
+            f"embedded eigensolve limited to size {MAX_EMBEDDED_SIZE}; "
+            f"got size {2 * grid.n_points}"
+        )
+    _check_box(_grid_model(model), grid)
+
+
+@functools.lru_cache(maxsize=_BARE_LEVEL_ENTRIES)
+def _bare_level(model: ModelKind, n: int,
+                grid: Grid1D) -> tuple[DiscreteHamiltonian, int, float, np.ndarray]:
+    """(H, m, e, u): H on `grid`, level n's sorted position m, and its
+    certified bare pair (`DiscreteHamiltonian.eigenpair`, started at the
+    analytic level), cached per (model, n, grid).  The cached diagonal of H
+    and u are read-only."""
+    ham = discretize(model, grid)
+    m = ham.level_index(n)
+    e, u_vec = ham.eigenpair(m, _MODELS[model].energy(n) * ham.level_scale)
+    ham.diagonal.flags.writeable = False
+    u_vec.flags.writeable = False
+    return ham, m, e, u_vec
+
+
 def oracle_compare(
     model: ModelKind,
     n: int,
@@ -489,26 +542,14 @@ def oracle_compare(
     radius and embedded sizes above MAX_EMBEDDED_SIZE.  Warns, and does not pass,
     when the bare grid level is off its analytic value by > 0.5%; on such a
     grid a certification failure (OracleError) leaves the embedding fields
-    None instead of raising.
+    None instead of raising.  The bare level is solved once per (model, n,
+    grid) and reused at every strength (`_bare_level`).
     """
     model = ModelKind(model)
-    level = LevelSpec(model, n)
-    if _outside(level, alpha):
-        raise RadiusError(
-            f"alpha={alpha:.6g} outside the {model.value} n={n} radius "
-            f"{alpha_max(model, n):.6g}"
-        )
-    if 2 * grid.n_points > MAX_EMBEDDED_SIZE:  # before any O(N) work on the grid
-        raise ValueError(
-            f"embedded eigensolve limited to size {MAX_EMBEDDED_SIZE}; "
-            f"got size {2 * grid.n_points}"
-        )
-    spec = perturbation_spec(level, alpha)
-    ham = discretize(model, grid)
-    m = ham.level_index(n)
-
+    _check_request(model, [(n, alpha)], grid)
+    ham, m, e0_grid, u_vec = _bare_level(model, n, grid)
+    spec = perturbation_spec(LevelSpec(model, n), alpha)
     e0_analytic = spec.e0
-    e0_grid, u_vec = ham.eigenpair(m, e0_analytic * ham.level_scale)
     e0_discrete = e0_grid / ham.level_scale
     rel_grid_error = abs(e0_discrete - e0_analytic) / abs(e0_analytic)
     grid_warning = rel_grid_error > _GRID_WARNING_REL

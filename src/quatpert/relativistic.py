@@ -20,7 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import PerturbationSpec, _closed_form, _finite, _outside_radius, closed_form_limit
+from .series import (
+    _N_MAX,
+    PerturbationSpec,
+    _closed_form,
+    _finite,
+    _outside_radius,
+    closed_form_limit,
+)
 
 RYDBERG_EV = 13.6
 RYDBERG_EV_PRECISE = 13.605693
@@ -45,9 +52,11 @@ class ComparisonTable:
 
 
 def _level_ev(n: int, rydberg_ev: float) -> float:
-    """Bare hydrogen level -R_y/n**2 in eV; rejects n < 1."""
+    """Bare hydrogen level -R_y/n**2 in eV; rejects n < 1 and n > 2**52."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > _N_MAX:
+        raise ValueError(f"hydrogen requires n <= 2**52, got {n}")
     return -rydberg_ev / n**2
 
 
@@ -60,10 +69,11 @@ def relativistic_energy(n: int, l: int, rydberg_ev: float = RYDBERG_EV) -> float
     """
     if not 0 <= l <= n - 1:  # empty for n < 1
         raise ValueError(f"invalid quantum numbers (n={n}, l={l})")
+    level = _level_ev(n, rydberg_ev)  # before n**4 is converted to a float
     correction = rydberg_ev * rydberg_ev / (2.0 * ELECTRON_MASS_EV * n**4) * (
         8.0 * n / (2 * l + 1) - 3.0
     )
-    return _finite(_level_ev(n, rydberg_ev) - correction, "relativistic level")
+    return _finite(level - correction, "relativistic level")
 
 
 def quaternionic_hydrogen_energy(

@@ -151,6 +151,12 @@ def _catalan_terms(x: float, count: int) -> Iterator[float]:
         term *= -x * (4 * t - 2) / (t + 1)
 
 
+# The largest quantum number the models take.  Below it every n + 1/2 is a
+# double, so up to it neighbouring levels of each model stay distinct, and
+# n**4 converts to a float; past it n**2 or n**4 overflows the conversion.
+_N_MAX = 2**52
+
+
 def _finite(value: float, what: str) -> float:
     """`value` itself when finite; otherwise ValueError("the <what> exceeds double range").
 

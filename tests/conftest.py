@@ -1,5 +1,6 @@
 import io
 import subprocess
+import sys
 import traceback
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,6 +11,16 @@ from quatpert.cli import main
 
 # the categories a fresh interpreter hides by default; it prints the others
 _HIDDEN_WARNINGS = (DeprecationWarning, PendingDeprecationWarning, ImportWarning, ResourceWarning)
+
+
+@pytest.fixture(autouse=True)
+def fresh_bare_levels():
+    """Start every test with an empty oracle bare-level cache, so a test that
+    patches the bare solve reaches it.  The oracle is not imported for this:
+    a test that never loads it must not load numpy."""
+    oracle = sys.modules.get("quatpert.oracle")
+    if oracle is not None:
+        oracle._bare_level.cache_clear()
 
 
 @pytest.fixture

@@ -266,6 +266,94 @@ def test_oracle_tolerance_failure_exits_two(run_cli):
             assert [report[column] for column in embedding] == [None] * 3
 
 
+def _oracle_module_with_recorded_solves(monkeypatch):
+    """quatpert.oracle with its gttrf, one call per bare solve, recording each call."""
+    import quatpert.oracle as oracle_mod
+
+    calls, gttrf = [], oracle_mod._gttrf
+
+    def recording(*args):
+        calls.append(1)
+        return gttrf(*args)
+
+    monkeypatch.setattr(oracle_mod, "_gttrf", recording)
+    return oracle_mod, calls
+
+
+def test_oracle_rows_are_n_major_and_share_each_bare_level(run_cli, monkeypatch):
+    _, calls = _oracle_module_with_recorded_solves(monkeypatch)
+    proc = run_cli("oracle", "--n", "1", "--n", "2", "--alpha", "0.1", "--alpha", "0.2",
+                   "--alpha", "0.4", "--model", "well", expect=0)
+    _, rows = parse_csv(proc.stdout)
+    assert [(row[1], row[2], row[-1]) for row in rows] == [
+        (n, alpha, "PASS") for n in ("1", "2") for alpha in ("0.10000", "0.20000", "0.40000")
+    ]
+    assert calls == [1, 1] and proc.stderr == ""
+    # ten strengths in one process: one bare solve, none per strength
+    calls.clear()
+    alphas = [arg for k in range(1, 11) for arg in ("--alpha", str(0.04 * k))]
+    proc = run_cli("oracle", "--model", "oscillator", "--n", "1", *alphas, expect=0)
+    assert len(parse_csv(proc.stdout)[1]) == 10 and calls == [1]
+
+
+def test_oracle_names_each_failing_row(run_cli):
+    # --grid 30 holds the well's n = 1 within 0.5% and not n = 3
+    proc = run_cli("oracle", "--model", "well", "--n", "1", "--n", "3", "--alpha", "0.1",
+                   "--alpha", "0.2", "--grid", "30", expect=2)
+    _, rows = parse_csv(proc.stdout)
+    assert [row[-1] for row in rows] == ["PASS", "PASS", "FAIL", "FAIL"]
+    lines = proc.stderr.splitlines()
+    assert [line.split(": grid level off by")[0] for line in lines[:2]] == [
+        "oracle: n=3 alpha=0.1", "oracle: n=3 alpha=0.2"]
+    assert lines[2:] == ["error: 2 of 4 comparisons failed"]
+
+
+def test_oracle_refuses_before_any_work(run_cli, monkeypatch):
+    # a strength outside its radius in any pair, and more than 2**24 rows x N
+    # grid points in all, exit 1 before a bare solve
+    oracle_mod, calls = _oracle_module_with_recorded_solves(monkeypatch)
+    ns = [arg for n in range(1, 258) for arg in ("--n", str(n))]
+    for args, message in [
+        (("--n", "1", "--n", "2", "--alpha", "0.1", "--alpha", "0.6"),
+         "alpha=0.6 outside the well n=1 radius 0.5"),
+        ((*ns, "--alpha", "0.1", "--grid", "65536"),
+         "257 (n, alpha) pairs x --grid 65536 = 16842752 grid points; "
+         "a run solves at most 16777216"),
+        (("--n", "1", "--n", "2", "--alpha", "0.1", "--x-max", "1e200", "--grid", "100"),
+         "box [0, 1e+200] at N = 100"),
+    ]:
+        start = time.perf_counter()
+        proc = run_cli("oracle", "--model", "well", *args, expect=1)
+        assert time.perf_counter() - start < 0.5
+        assert message in proc.stderr and proc.stdout == ""
+    assert calls == []
+
+    # at exactly 2**24 grid points the run goes ahead
+    def reached(*args):
+        raise ValueError("reached the comparisons")
+
+    monkeypatch.setattr(oracle_mod, "oracle_compare", reached)
+    proc = run_cli("oracle", "--model", "well", *ns[:-2], "--alpha", "0.1", "--grid", "65536",
+                   expect=1)
+    assert "reached the comparisons" in proc.stderr
+
+
+def test_oracle_single_rows_match_the_golden_files_after_a_sweep(run_cli):
+    # a sweep over the README level warms the cache; its last row, and the
+    # README command run after it, are the golden output byte for byte
+    args = README_COMMANDS["oracle"]
+    for fmt in ("csv", "json"):
+        with open(os.path.join(DATA_DIR, f"oracle.{fmt}"), newline="") as golden:
+            expected = golden.read()
+        sweep = run_cli(*args[:-4], "--alpha", "0.5", *args[-4:], "--format", fmt, expect=0)
+        if fmt == "csv":
+            assert sweep.stdout.splitlines()[2] == expected.splitlines()[1]
+        else:
+            assert json.loads(sweep.stdout)["rows"][1] == json.loads(expected)["rows"][0]
+        proc = run_cli(*args, "--format", fmt, expect=0)
+        assert (proc.stdout, proc.stderr) == (expected, "")
+
+
 def test_oracle_rejects_hydrogen(run_cli):
     proc = run_cli("oracle", "--model", "hydrogen", "--n", "1", "--alpha", "0.1",
                    expect=1)

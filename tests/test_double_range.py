@@ -159,6 +159,11 @@ def reported_numbers(value):
 @example(d=Draw(n=1, alpha=8.5e307, ry=1.7e308))  # the resummed level is past DBL_MAX
 @example(d=Draw(e0=0.0, w_re=0.0, w_im=1.7e308, alpha=1.7e308))  # the norm is past DBL_MAX
 @example(d=Draw(w_re=1.7e308, w_im=1.7e308))  # |w| is past DBL_MAX, its parts are not
+# a quantum number whose n**2 or n**4 is no float
+@example(d=Draw(n=10**80))  # relativistic_energy(10**80, 0): n**4
+@example(d=Draw(model=ModelKind.HYDROGEN, n=10**200))  # alpha_max: 1/n**2
+@example(d=Draw(n=10**160, alpha=0.1, s=2))  # sigma_ratio: n**2
+@example(d=Draw(n=10**200, alpha=0.1))  # sigma_limit and spectral_gap
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_public_routes_return_finite_numbers_or_raise_value_error(route, d):
     with warnings.catch_warnings():

@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 
+import mpmath
 import pytest
 
 from quatpert import oracle as oracle_mod
@@ -144,6 +145,44 @@ def test_sigma_limits():
     assert sigma_ratio(OSC, 1, 0.75, 200) == pytest.approx(
         sigma_limit(OSC, 1, 0.75), abs=1e-10
     )
+
+
+def test_sigma_limit_keeps_its_digits_at_large_strengths():
+    # the two resummed levels agree to ever more digits as alpha grows, and
+    # their plain difference read 0.0 for the well's n = 1 at alpha = 1e9;
+    # against 50 digits, every model, five levels, alpha 1e-3 .. 1e15
+    worst = 0.0
+    with mpmath.workdps(50):
+        for model in ModelKind:
+            n_min = 1 if model is not OSC else 0
+            for n in range(n_min, n_min + 5):
+                e0, e1 = unperturbed_energy(LevelSpec(model, n)), unperturbed_energy(
+                    LevelSpec(model, n + 1))
+                for k in range(-6, 31):
+                    alpha = 10.0 ** (k / 2)
+                    c = mpmath.mpf(alpha) * model_w(LevelSpec(model, n))
+                    level = [mpmath.sign(e) * mpmath.sqrt(mpmath.mpf(e) ** 2 + c * c)
+                             for e in (e0, e1)]
+                    exact = (level[1] - level[0]) / (mpmath.mpf(e1) - mpmath.mpf(e0))
+                    worst = max(worst, float(abs(sigma_limit(model, n, alpha) / exact - 1)))
+    assert worst <= 1e-15
+    assert sigma_limit(WELL, 1, 1e9) == pytest.approx(1.25e-9, rel=1e-15)
+
+
+def test_a_quantum_number_past_2_to_the_52_is_refused_by_name():
+    # its n**2 or n**4 is no float: each call raised OverflowError
+    from quatpert.relativistic import relativistic_energy
+
+    for call, n in [
+        (lambda n: relativistic_energy(n, 0), 10**80),
+        (lambda n: alpha_max(HYD, n), 10**200),
+        (lambda n: sigma_ratio(WELL, n, 0.1, 2), 10**160),
+        (lambda n: sigma_limit(WELL, n, 0.1), 10**200),
+        (lambda n: spectral_gap(WELL, n), 10**200),
+    ]:
+        with pytest.raises(ValueError, match=f"n <= 2\\*\\*52, got {n}$"):
+            call(n)
+        call(2**52 - 1)  # the upper level of a gap may still be 2**52
 
 
 def test_alpha_bounds():

@@ -391,6 +391,7 @@ def test_branch_matching_rejects_the_wrong_level(monkeypatch):
     # vector, so the overlap is 1 by construction; it is reached only by a
     # certified n = 1 pair set against a bare vector of another level
     with monkeypatch.context() as patch:
+        oracle_mod._bare_level.cache_clear()
         patch.setattr(DiscreteHamiltonian, "eigenpair",
                       lambda self, index, guess: (eigenpair(self, index, guess)[0], u2))
         patch.setattr(oracle_mod, "_block_vector",
@@ -399,6 +400,7 @@ def test_branch_matching_rejects_the_wrong_level(monkeypatch):
             oracle_compare(WELL, 1, 0.2, grid)
     # the n = 2 bare level as a whole is off its analytic value by 300%: that
     # grid FAIL stands in for the certification error
+    oracle_mod._bare_level.cache_clear()
     monkeypatch.setattr(DiscreteHamiltonian, "eigenpair", lambda self, index, guess: (e2, u2))
     report = oracle_compare(WELL, 1, 0.2, grid)
     assert report.grid_warning and not report.passed and report.oracle_value is None
@@ -492,6 +494,53 @@ def test_fallback_cases_keep_their_bare_level(monkeypatch):
         assert ranges == recorded
         assert abs(report.e0_discrete * ham.level_scale - reference) <= eps * norm
         assert report.grid_warning and not report.passed
+
+
+def _recorded_gttrf_calls(monkeypatch):
+    """Patch the oracle's gttrf, the one factorization of each bare solve, to count its calls."""
+    calls = []
+    gttrf = oracle_mod._gttrf
+
+    def recording(*args):
+        calls.append(len(args[1]))
+        return gttrf(*args)
+
+    monkeypatch.setattr(oracle_mod, "_gttrf", recording)
+    return calls
+
+
+@pytest.mark.parametrize("model, n", [(WELL, 1), (OSC, 3)])
+def test_a_strength_sweep_solves_the_bare_level_once(model, n, monkeypatch):
+    # ten strengths at one (model, n, grid): one bare solve, and every report
+    # is, bit for bit, the one a call with an empty cache gives
+    calls = _recorded_gttrf_calls(monkeypatch)
+    fractions = [0.05 + 0.095 * k for k in range(10)]
+    reports = [oracle_compare(model, n, f * alpha_max(model, n), default_grid(model, 500))
+               for f in fractions]
+    assert calls == [500]
+    assert all(report.passed for report in reports)
+    for fraction, report in zip(fractions, reports):
+        oracle_mod._bare_level.cache_clear()
+        fresh = oracle_compare(model, n, fraction * alpha_max(model, n), default_grid(model, 500))
+        assert repr(fresh) == repr(report)
+    assert len(calls) == 11
+
+
+def test_cached_bare_levels_are_read_only_and_refusals_are_not_cached():
+    ham, m, e, u_vec = oracle_mod._bare_level(WELL, 2, Grid1D(0.0, 1.0, 100))
+    assert m == 1 and e == ham.eigenpair(1, 4.0 * ham.level_scale)[0]
+    for array in (ham.diagonal, u_vec):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # the shifted diagonal, the matvec and the block vector are new arrays
+    assert oracle_compare(WELL, 2, 0.5, Grid1D(0.0, 1.0, 100)).passed
+    # a level the grid cannot hold and a refused box raise on every call
+    for model, n, grid in [(WELL, 7, Grid1D(0.0, 1.0, 5)), (WELL, 1, Grid1D(0.0, 1e200, 100))]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                oracle_mod._bare_level(model, n, grid)
+    assert oracle_mod._bare_level.cache_info().currsize == 1
 
 
 def test_inertia_count_matches_the_full_spectrum():
