@@ -13,29 +13,37 @@ paths), so a failing command never leaves partial output behind.
 
 from __future__ import annotations
 
-import json
+import functools
 import operator
 import os
 import sys
 import tempfile
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class OutputSpec:
+class _OutputFields(NamedTuple):
+    fmt: str
+    path: str | None
+    precision: int
+
+
+class OutputSpec(_OutputFields):
     """Format, destination (None = stdout) and decimal places."""
 
-    fmt: str = "csv"
-    path: str | None = None
-    precision: int = 5
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if not 1 <= self.precision <= 15:
+    def __new__(cls, fmt: str = "csv", path: str | None = None, precision: int = 5):
+        if fmt not in ("csv", "json"):
+            raise ValueError(f"unknown format {fmt!r}")
+        if not 1 <= precision <= 15:
             raise ValueError("precision must be between 1 and 15")
+        return super().__new__(cls, fmt, path, precision)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
 
 def _csv_cell(value, precision: int) -> str:
@@ -80,12 +88,22 @@ def _json_column(column: tuple, precision: int) -> Iterable:
     return [_json_cell(v, precision) for v in column]
 
 
-# The C encoder writes a one-line array whose item separator already holds
-# the newline and indentation that json.dumps(indent=2) puts before a cell
-# of a row; a second one does the same for the column names.  A table of
-# scalars holds no cycles, so the encoder need not track the rows it enters.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), check_circular=False)
-_COLUMNS_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "), check_circular=False)
+@functools.cache
+def _json_encoders():
+    """The row and column-name encoders; json loads only for JSON output.
+
+    The C encoder writes a one-line array whose item separator already
+    holds the newline and indentation that json.dumps(indent=2) puts
+    before a cell of a row; the second encoder does the same for the
+    column names.  A table of scalars holds no cycles, so the encoder need
+    not track the rows it enters.
+    """
+    import json
+
+    return (
+        json.JSONEncoder(separators=(",\n      ", ": "), check_circular=False),
+        json.JSONEncoder(separators=(",\n    ", ": "), check_circular=False),
+    )
 
 
 def _array(items: str, indent: str) -> str:
@@ -109,10 +127,11 @@ def render(spec: OutputSpec, columns: list[str], rows: list[list]) -> str:
             formats, converted = zip(*(_csv_column(c, spec.precision) for c in cells))
             lines.append("\n".join(map(",".join(formats).__mod__, zip(*converted))))
         return "\n".join(lines) + "\n"
-    names = _array(_COLUMNS_ENCODER.encode(columns)[1:-1], "  ")
+    row_encoder, columns_encoder = _json_encoders()
+    names = _array(columns_encoder.encode(columns)[1:-1], "  ")
     body = ""
     if cells:  # cells are scalars: the encoded rows hold "],<separator>[" only between rows
-        text = _ROW_ENCODER.encode(list(zip(*(_json_column(c, spec.precision) for c in cells))))
+        text = row_encoder.encode(list(zip(*(_json_column(c, spec.precision) for c in cells))))
         body = _array(text[2:-2].replace("],\n      [", "\n    ],\n    [\n      "), "    ")
     return f'{{\n  "columns": {names},\n  "rows": {_array(body, "  ")}\n}}\n'
 

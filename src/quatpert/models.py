@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -69,19 +68,26 @@ def _check_n(model: ModelKind, n: int) -> None:
         raise ValueError(f"{model.value} requires n <= 2**52, got {n}")
 
 
-@dataclass(frozen=True)
-class LevelSpec:
-    """A single bound level: model identity and quantum number."""
-
+class _LevelFields(NamedTuple):
     model: ModelKind
     n: int
 
-    def __post_init__(self):
-        _check_n(self.model, self.n)
+
+class LevelSpec(_LevelFields):
+    """A single bound level: model identity and quantum number."""
+
+    __slots__ = ()
+
+    def __new__(cls, model: ModelKind, n: int):
+        _check_n(model, n)
+        return super().__new__(cls, model, n)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class SigmaCurveResult:
+class SigmaCurveResult(NamedTuple):
     """Rows (alpha, order, sigma) plus diagnostics for excluded strengths."""
 
     rows: tuple[tuple[float, int, float], ...]

@@ -18,7 +18,7 @@ level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .series import (
     _N_MAX,
@@ -34,8 +34,7 @@ RYDBERG_EV_PRECISE = 13.605693
 ELECTRON_MASS_EV = 510998.95  # m_e c**2
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One table row: unperturbed, relativistic and quaternionic energies (eV)."""
 
     n: int
@@ -45,8 +44,7 @@ class ComparisonRow:
     alpha_w_ev: float
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     rows: tuple[ComparisonRow, ...]
     omitted: tuple[tuple[int, str], ...]
 

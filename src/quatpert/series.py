@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 _DIVERGENCE_WINDOW = 3  # growing even-order magnitude ratios that witness divergence
 _DBL_MIN = 2.2250738585072014e-308  # smallest normal double
@@ -55,26 +55,36 @@ class RadiusWarning(UserWarning):
     """A computation proceeded outside the series' convergence radius."""
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
+class _PerturbationFields(NamedTuple):
+    e0: float
+    w: complex
+    alpha: float
+
+
+class PerturbationSpec(_PerturbationFields):
     """Unperturbed level `e0`, complex amplitude `w`, real strength `alpha`.
 
     `e0` must be nonzero: every correction coefficient divides by it.  All
-    three must be finite, and so must |w|, which every route reads.
+    three must be finite, and so must |w|, which every route reads.  A
+    frozen record; as a named tuple it also compares equal to the plain
+    tuple (e0, w, alpha).
     """
 
-    e0: float
-    w: complex = 0.0 + 0.0j
-    alpha: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.e0) or self.e0 == 0.0:
+    def __new__(cls, e0: float, w: complex = 0.0 + 0.0j, alpha: float = 0.0):
+        if not math.isfinite(e0) or e0 == 0.0:
             raise ValueError("e0 must be finite and nonzero")
-        if not (math.isfinite(self.w.real) and math.isfinite(self.w.imag)):
+        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
             raise ValueError("w must be finite")
-        _finite(math.hypot(self.w.real, self.w.imag), "magnitude |w|")
-        if not math.isfinite(self.alpha):
+        _finite(math.hypot(w.real, w.imag), "magnitude |w|")
+        if not math.isfinite(alpha):
             raise ValueError("alpha must be finite")
+        return super().__new__(cls, e0, w, alpha)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
     @property
     def w_magnitude(self) -> float:
@@ -86,8 +96,7 @@ class PerturbationSpec:
         return abs(self.alpha) * abs(self.w)
 
 
-@dataclass(frozen=True)
-class SeriesEvaluation:
+class SeriesEvaluation(NamedTuple):
     """Ordered correction terms and their running sums.
 
     ``terms[k]`` is the contribution alpha**s * E_s at order s = k + 1

@@ -412,6 +412,53 @@ def test_usage_errors_exit_one(run_cli):
         assert "is not in the range" in run_cli(*args, expect=1).stderr
 
 
+def test_usage_errors_print_one_error_line_and_write_nothing(run_cli, tmp_path):
+    # each ends stderr with its one "Error:" line, after the usage lines
+    target = tmp_path / "out.csv"
+    series = ("series", "--e0", "1", "--w", "1", "--alpha", "0.1")
+    sigma = ("sigma", "--model", "well", "--n", "1", "--alpha", "0.1")
+    for args, message in [
+        ((*series, "--bogus", "3"), "No such option '--bogus'. Did you mean '--out'?"),
+        (series[:1] + series[3:], "Missing option '--e0'."),
+        (("series", "--e0", "1e", *series[3:]), "Invalid value for '--e0': '1e' is not a valid float."),
+        (("sigma", "--model", "unknown", *sigma[3:]),
+         "Invalid value for '--model': 'unknown' is not one of 'hydrogen', 'well', 'oscillator'."),
+        ((*series, "--max-order", "1"),
+         "Invalid value for '--max-order': 1 is not in the range 2<=x<=100000."),
+        (("spectrum", *series[1:]), "No such command 'spectrum'."),
+        # options are never abbreviated
+        ((*sigma, "--max-ord", "4"),
+         "No such option '--max-ord'. (Did you mean one of: '--max-order', '--model'?)"),
+    ]:
+        proc = run_cli(*args, "--out", str(target), expect=1)
+        assert proc.stderr.endswith(f"\nError: {message}\n"), proc.stderr
+        assert proc.stderr.count("Error:") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == "" and not target.exists()
+
+
+def test_oracle_counts_each_row_as_at_least_1024_grid_points(run_cli, monkeypatch):
+    # a row's fixed cost is that of about 1200 grid points, so at --grid 16
+    # more than 2**24 / 1024 = 16384 rows exit 1 before a bare solve
+    oracle_mod, calls = _oracle_module_with_recorded_solves(monkeypatch)
+    alphas = ["--alpha", "0.1"] * 16385
+    start = time.perf_counter()
+    proc = run_cli("oracle", "--model", "well", "--n", "1", *alphas, "--grid", "16", expect=1)
+    assert time.perf_counter() - start < 0.5
+    assert proc.stderr.endswith(
+        "Error: 16385 (n, alpha) pairs x --grid 16 counted as 1024 = 16778240 grid points; "
+        "a run solves at most 16777216\n"
+    )
+    assert proc.stdout == "" and calls == []
+
+    def reached(*args):
+        raise ValueError("reached the comparisons")
+
+    monkeypatch.setattr(oracle_mod, "oracle_compare", reached)
+    proc = run_cli("oracle", "--model", "well", "--n", "1", *alphas[2:], "--grid", "16",
+                   expect=1)
+    assert "reached the comparisons" in proc.stderr
+
+
 def test_oracle_box_overrides_apply_before_the_grid_check(run_cli):
     # 2e77 points fit the box [0, 1e80] (h = 500) but not the default [0, 1]:
     # the run reaches the size guard instead of naming the default box
@@ -580,6 +627,38 @@ assert oracle_names <= set(quatpert.__all__)
     # an oracle name alone, without embed_block, loads numpy too
     proc = run_python("-c", "import sys, quatpert; quatpert.Grid1D; assert 'numpy' in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_cold_data_command_loads_only_what_it_runs(tmp_path):
+    # `import quatpert` loads no submodule; a CSV data command run as
+    # `python -m quatpert` loads no module it does not run, and JSON output
+    # loads json
+    script = f"""
+import runpy
+import sys
+import quatpert
+loaded = [name for name in sys.modules if name.startswith("quatpert.")]
+assert not loaded, loaded
+
+def run(*argv):
+    sys.argv = ["quatpert", *argv]
+    try:
+        runpy.run_module("quatpert", run_name="__main__")
+    except SystemExit as exit:
+        assert exit.code == 0, (argv, exit.code)
+
+run("series", "--e0", "-13.6", "--w", "0.15", "--alpha", "1.0", "--max-order", "20")
+run("sigma", "--model", "well", "--n", "1", "--alpha", "0.3", "--max-order", "30")
+run("levels", "--n", "1", "--n", "2", "--samples", "100", "--out", {str(tmp_path / "levels.csv")!r})
+run("hydrogen-table", "--alphaw", "0.15", "--n-max", "5")
+loaded = sorted({{"click", "dataclasses", "inspect", "json", "numpy"}} & set(sys.modules))
+assert not loaded, loaded
+run("hydrogen-table", "--alphaw", "0.15", "--n-max", "5", "--format", "json")
+assert "json" in sys.modules
+"""
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("}\n") and proc.stderr == ""
 
 
 def test_data_commands_load_neither_numpy_nor_scipy(tmp_path):

@@ -58,6 +58,7 @@ from quatpert import (
     unperturbed_energy,
 )
 from quatpert import models, relativistic, series
+from quatpert._output import OutputSpec
 
 DBL_MAX = sys.float_info.max
 DBL_MIN = sys.float_info.min
@@ -140,8 +141,6 @@ def reported_numbers(value):
         value = (value.terms, value.partial_sums, value.limit_estimate if value.in_radius else 0.0)
     elif isinstance(value, SigmaCurveResult):
         value = value.rows
-    elif dataclasses.is_dataclass(value):
-        value = dataclasses.astuple(value)
     if isinstance(value, (tuple, list)):
         for item in value:
             yield from reported_numbers(item)
@@ -174,6 +173,45 @@ def test_public_routes_return_finite_numbers_or_raise_value_error(route, d):
             return
     numbers = list(reported_numbers(value))
     assert all(math.isfinite(v) for v in numbers), (route, d, numbers)
+
+
+RECORDS = {
+    "LevelSpec": lambda d: LevelSpec(d.model, d.n),
+    "PerturbationSpec": spec,
+    "SeriesEvaluation": ROUTES["perturbed_energy"],
+    "SigmaCurveResult": ROUTES["sigma_curve"],
+    "ComparisonTable": ROUTES["comparison_table"],
+    "OutputSpec": lambda d: OutputSpec("json", None, d.s),
+}
+
+
+@RULE_SETTINGS
+@given(d=draws)
+@pytest.mark.parametrize("record", sorted(RECORDS))
+def test_records_keep_the_repr_and_hash_of_a_frozen_dataclass(record, d):
+    try:
+        value = RECORDS[record](d)
+    except ValueError:
+        return
+    for item in (value, *getattr(value, "rows", ())):
+        if not hasattr(item, "_fields"):  # sigma_curve's rows are plain tuples
+            continue
+        frozen = dataclasses.make_dataclass(type(item).__name__, item._fields, frozen=True)
+        reference = frozen(*item)
+        assert (repr(item), hash(item)) == (repr(reference), hash(reference))
+        with pytest.raises(AttributeError):
+            setattr(item, item._fields[0], None)
+
+
+def test_replacing_a_field_checks_it_as_the_constructor_does():
+    for record, field, value in [
+        (PerturbationSpec(1.0), "e0", 0.0),
+        (LevelSpec(ModelKind.WELL, 1), "n", 0),
+        (OutputSpec(), "precision", 16),
+    ]:
+        assert record._replace() == record and type(record._replace()) is type(record)
+        with pytest.raises(ValueError):
+            record._replace(**{field: value})
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
