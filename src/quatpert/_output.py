@@ -5,15 +5,15 @@ endings; floats are printed with a fixed number of decimal places.  JSON
 carries the same table as {"columns": [...], "rows": [[...]]} with floats
 rounded to the same precision, in the layout of json.dumps(indent=2).
 Both are produced column-wise: each column's conversion is chosen once per
-table, so a column of plain floats (and, in CSV, of plain ints) needs no
-Python call per cell, and the C JSON encoder writes the rows.  Output is
-rendered fully in memory and written in one step (temp file + rename for
-paths), so a failing command never leaves partial output behind.
+table, so a column of plain floats, ints or bools needs no Python call per
+cell, and one %-template per table writes the rows of either format.
+Output is rendered fully in memory and written in one step (temp file +
+rename for paths), so a failing command never leaves partial output behind.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 import operator
 import os
 import sys
@@ -64,51 +64,45 @@ def _json_cell(value, precision: int):
     return value
 
 
-def _csv_column(column: tuple, precision: int) -> tuple[str, Iterable]:
+def _column(column: tuple, precision: int, dumps) -> tuple[str, Iterable]:
     """The %-conversion of one column and the cells it formats.
 
-    A column of plain floats prints with '%.Kf' (an exact -0.0 first becomes
-    0.0, as `_csv_cell` does), one of plain ints with '%d'; any other column
-    is formatted cell by cell with `_csv_cell` and printed with '%s'.
+    `dumps` is json.dumps for JSON, None for CSV.  A column of one type (0 ==
+    False == 0.0) whose first two cells are equal is taken to repeat its
+    values, as a constant column or sigma's strengths do: each distinct
+    value is formatted once.  CSV floats print '%.Kf', -0.0 as 0.0.  A
+    finite JSON float column whose nonzero magnitudes lie in
+    [max(1e-4, 10**-K), 10**(15-K)) prints '%.Kf' less its trailing zeros:
+    round(x, K) rounds to that same K-place decimal, which has at most 15
+    digits, so it is also repr(round(x, K) + 0.0).  Ints print '%d', bools
+    true/false; other cells go one at a time.
     """
     kinds = set(map(type, column))
+    if len(kinds) == 1 and len(column) > 1 and column[0] == column[1]:
+        distinct = tuple(set(column))  # 0.0 and -0.0 print alike
+        conversion, cells = _column(distinct, precision, dumps)
+        return "%s", map(dict(zip(distinct, map(conversion.__mod__, cells))).__getitem__, column)
     if kinds == {float}:
         if 0.0 in column:  # true for -0.0 too
-            column = map(operator.add, column, repeat(0.0))
-        return f"%.{precision}f", column
+            column = tuple(map(operator.add, column, repeat(0.0)))
+        if dumps is None:
+            return f"%.{precision}f", column
+        if sys.float_repr_style == "short" and all(map(math.isfinite, column)):
+            low, high = max(1e-4, float(f"1e-{precision}")), float(f"1e{15 - precision}")
+            if (min(map(abs, filter(None, column)), default=low) >= low
+                    and -high < min(column) and max(column) < high):
+                text = "\n".join(map(str.rstrip, map(f"%.{precision}f".__mod__, column),
+                                     repeat("0")))
+                return "%s", (text + "\n").replace(".\n", ".0\n")[:-1].split("\n")
+            return "%s", map(repr, map(operator.add, map(round, column, repeat(precision)),
+                                       repeat(0.0)))
     if kinds == {int}:
         return "%d", column
-    return "%s", [_csv_cell(v, precision) for v in column]
-
-
-def _json_column(column: tuple, precision: int) -> Iterable:
-    """One column with its floats rounded as `_json_cell` rounds them."""
-    if set(map(type, column)) == {float}:
-        return map(operator.add, map(round, column, repeat(precision)), repeat(0.0))
-    return [_json_cell(v, precision) for v in column]
-
-
-@functools.cache
-def _json_encoders():
-    """The row and column-name encoders; json loads only for JSON output.
-
-    The C encoder writes a one-line array whose item separator already
-    holds the newline and indentation that json.dumps(indent=2) puts
-    before a cell of a row; the second encoder does the same for the
-    column names.  A table of scalars holds no cycles, so the encoder need
-    not track the rows it enters.
-    """
-    import json
-
-    return (
-        json.JSONEncoder(separators=(",\n      ", ": "), check_circular=False),
-        json.JSONEncoder(separators=(",\n    ", ": "), check_circular=False),
-    )
-
-
-def _array(items: str, indent: str) -> str:
-    """Joined items as an indent=2 array whose bracket closes at `indent`."""
-    return f"[\n{indent}  {items}\n{indent}]" if items else "[]"
+    if kinds == {bool}:
+        return "%s", map(("false", "true").__getitem__, column)
+    if dumps is None:
+        return "%s", map(_csv_cell, column, repeat(precision))
+    return "%s", map(dumps, map(_json_cell, column, repeat(precision)))
 
 
 def render(spec: OutputSpec, columns: list[str], rows: list[list]) -> str:
@@ -118,22 +112,25 @@ def render(spec: OutputSpec, columns: list[str], rows: list[list]) -> str:
     table with rows has at least one column.  CSV floats print with
     `precision` places.  JSON is byte for byte
     json.dumps({"columns": columns, "rows": rows}, indent=2) + "\\n" with
-    the floats rounded to `precision` places.
+    the floats rounded to `precision` places.  Both fill one %-template
+    per row from the columns' conversions.
     """
     cells = list(zip(*rows))  # column by column; empty when there are no rows
     if spec.fmt == "csv":
-        lines = [",".join(columns)]
-        if cells:
-            formats, converted = zip(*(_csv_column(c, spec.precision) for c in cells))
-            lines.append("\n".join(map(",".join(formats).__mod__, zip(*converted))))
-        return "\n".join(lines) + "\n"
-    row_encoder, columns_encoder = _json_encoders()
-    names = _array(columns_encoder.encode(columns)[1:-1], "  ")
+        dumps, row, sep, between = None, "%s", ",", "\n"
+    else:
+        from json import dumps, encoder  # only for JSON output
+
+        row, sep, between = "[\n      %s\n    ]", ",\n      ", ",\n    "
     body = ""
-    if cells:  # cells are scalars: the encoded rows hold "],<separator>[" only between rows
-        text = row_encoder.encode(list(zip(*(_json_column(c, spec.precision) for c in cells))))
-        body = _array(text[2:-2].replace("],\n      [", "\n    ],\n    [\n      "), "    ")
-    return f'{{\n  "columns": {names},\n  "rows": {_array(body, "  ")}\n}}\n'
+    if cells:
+        conversions, converted = zip(*(_column(c, spec.precision, dumps) for c in cells))
+        body = between.join(map((row % sep.join(conversions)).__mod__, zip(*converted)))
+    if dumps is None:
+        return f"{','.join(columns)}\n{body}\n" if cells else f"{','.join(columns)}\n"
+    names = ",\n    ".join(map(encoder.encode_basestring_ascii, columns))
+    names, body = (f"[\n    {items}\n  ]" if items else "[]" for items in (names, body))
+    return f'{{\n  "columns": {names},\n  "rows": {body}\n}}\n'
 
 
 def write_output(spec: OutputSpec, columns: list[str], rows: list[list]) -> None:

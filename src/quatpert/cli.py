@@ -292,6 +292,10 @@ def cmd_levels(n_list, samples, ry):
 def cmd_oracle(model, n_list, alphas, grid_points, order, x_min, x_max):
     """Check the series and closed form against the embedded spectrum,
     one row per (n, alpha)."""
+    # the oracle's LAPACK calls are sequential: no idle OpenBLAS pools, unless sized
+    if "numpy" not in sys.modules and not os.environ.keys() & {
+            "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     from . import oracle as oracle_mod  # deferred: numpy and LAPACK load only here
 
     kind = ModelKind(model)
@@ -366,13 +370,9 @@ def cmd_series(e0, w_mod, alpha, max_order):
     else:
         notes = []
     limit = evaluation.limit_estimate if evaluation.in_radius else None
-    rows = [
-        [s, *columns, limit, evaluation.in_radius]
-        for s, columns in enumerate(
-            zip(coefficients, evaluation.terms, evaluation.partial_sums), 1
-        )
-    ]
-    return rows, notes, None
+    rows = zip(itertools.count(1), coefficients, evaluation.terms, evaluation.partial_sums,
+               itertools.repeat(limit), itertools.repeat(evaluation.in_radius))
+    return list(rows), notes, None
 
 
 # argparse finds each option word by a scan over the positions of all of

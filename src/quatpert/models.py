@@ -25,6 +25,8 @@ from __future__ import annotations
 import warnings
 from collections.abc import Callable
 from enum import Enum
+from itertools import accumulate, repeat
+from operator import sub, truediv
 from typing import NamedTuple
 
 from .series import (
@@ -32,7 +34,9 @@ from .series import (
     RadiusWarning,
     _N_MAX,
     _catalan_terms,
+    _check_range,
     _closed_form,
+    _even_terms,
     _finite,
     _outside_radius,
     perturbed_energy,
@@ -308,9 +312,14 @@ def sigma_curve(
                 f"alpha={alpha:.6g} is beyond the pair radius {pair_bound:.6g}; "
                 "partial sums oscillate without converging"
             )
-        lo = perturbed_energy(perturbation_spec(LevelSpec(model, n), alpha), 2 * max_order)
-        hi = perturbed_energy(perturbation_spec(LevelSpec(model, n + 1), alpha), 2 * max_order)
-        for s in range(1, max_order + 1):
-            gap_s = hi.partial_sums[2 * s - 1] - lo.partial_sums[2 * s - 1]
-            rows.append((alpha, s, gap_s / lam))
+        # the even-order partial sums of perturbed_energy, lower level first:
+        # an odd order adds 0.0 to a sum that is never -0.0, so it repeats it
+        sums = []
+        for level in (LevelSpec(model, n), LevelSpec(model, n + 1)):
+            spec = perturbation_spec(level, alpha)
+            sums.append(list(accumulate(_even_terms(spec.e0, spec.coupling, max_order),
+                                        initial=spec.e0))[1:])
+            _check_range(sums[-1], "partial sum", step=2)
+        gaps = map(sub, sums[1], sums[0])
+        rows.extend(zip(repeat(alpha), range(1, max_order + 1), map(truediv, gaps, repeat(lam))))
     return SigmaCurveResult(rows=tuple(rows), skipped=tuple(skipped), notes=tuple(notes))

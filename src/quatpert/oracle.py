@@ -75,7 +75,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,21 +139,29 @@ class OracleError(ValueError):
     """The eigensolver or the branch matching failed."""
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform interior grid: n_points points with Dirichlet walls at the ends."""
-
+class _GridFields(NamedTuple):
     x_min: float
     x_max: float
     n_points: int
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+
+class Grid1D(_GridFields):
+    """Uniform interior grid: n_points points with Dirichlet walls at the ends."""
+
+    __slots__ = ()
+
+    def __new__(cls, x_min: float, x_max: float, n_points: int):
+        if not (math.isfinite(x_min) and math.isfinite(x_max)):
             raise ValueError("box edges must be finite")
-        if not self.x_max > self.x_min:
+        if not x_max > x_min:
             raise ValueError("x_max must exceed x_min")
-        if self.n_points < 3:
+        if n_points < 3:
             raise ValueError("n_points must be >= 3")
+        return super().__new__(cls, x_min, x_max, n_points)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
     @property
     def h(self) -> float:
@@ -163,8 +171,7 @@ class Grid1D:
         return self.x_min + self.h * np.arange(1, self.n_points + 1)
 
 
-@dataclass(frozen=True)
-class DiscreteHamiltonian:
+class DiscreteHamiltonian(NamedTuple):
     """Symmetric tridiagonal H: diagonal 2/h**2 + V(x_i), off-diagonal -1/h**2.
 
     `level_scale` is the model's energy unit expressed in grid units
@@ -452,8 +459,7 @@ def compare_tolerance(n_points: int) -> float:
     return max(1e-6, _TOLERANCE_AT_REFERENCE * scale)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Side-by-side values for one (model, n, alpha), all in model units.
 
     `residual` is the embedded eigenpair's ||B v - lambda v|| relative to

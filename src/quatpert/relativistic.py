@@ -12,22 +12,18 @@ five-decimal reference table is reproduced digit for digit; pass
 
 The quaternionic level is the resummed value of `series._closed_form`, the
 helper behind `series.closed_form_limit`: per row through that checked
-function, and per sample of a level curve directly, after one check per
-level.
+function, and per sample of a level curve as the same expression mapped
+over the samples, after one check per level.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from math import copysign, hypot
+from operator import mul, truediv
 from typing import NamedTuple
 
-from .series import (
-    _N_MAX,
-    PerturbationSpec,
-    _closed_form,
-    _finite,
-    _outside_radius,
-    closed_form_limit,
-)
+from .series import _N_MAX, PerturbationSpec, _finite, _outside_radius, closed_form_limit
 
 RYDBERG_EV = 13.6
 RYDBERG_EV_PRECISE = 13.605693
@@ -124,9 +120,9 @@ def hydrogen_levels_vs_potential(
     For each n the coupling is sampled uniformly on [0, |R_y|/n**2]; the
     endpoint is the largest coupling the series radius admits, where the
     level reaches -sqrt(2) * R_y/n**2.  Each energy is `series._closed_form`
-    of the sample, bit for bit `quaternionic_hydrogen_energy`, without a
-    spec per sample.  A level, or a grid product top * (samples - 1), past
-    double range raises ValueError.
+    of the sample, bit for bit `quaternionic_hydrogen_energy`, mapped over
+    the samples without a spec or a call per sample.  A level, or a grid
+    product top * (samples - 1), past double range raises ValueError.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -135,9 +131,14 @@ def hydrogen_levels_vs_potential(
         e0 = _level_ev(n, rydberg_ev)
         top = abs(e0)
         # one level and radius check per n: the samples never exceed the radius
-        # top, because min() keeps the last one, which may round past it, on it
         closed_form_limit(PerturbationSpec(e0=e0, w=complex(top), alpha=1.0))
         _finite(top * (samples - 1), "coupling grid")  # top * k must not overflow
-        couplings = [min(top, top * k / (samples - 1)) for k in range(samples)]
-        rows.extend((n, aw, _closed_form(e0, aw)) for aw in couplings)
+        # k <= samples - 2: top * k rounds by less than top (samples < 2**53), so it
+        # stays below top * (samples - 1) and the quotient rounds to at most top;
+        # only the last sample can round past top, and min() keeps it on top
+        couplings = list(map(truediv, map(mul, repeat(top), range(samples)),
+                             repeat(samples - 1)))
+        couplings[-1] = min(top, couplings[-1])
+        energies = map(copysign, map(hypot, repeat(e0), couplings), repeat(e0))
+        rows.extend(zip(repeat(n), couplings, energies))
     return rows

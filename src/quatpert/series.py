@@ -27,7 +27,7 @@ The range rule has one wording, `_finite(value, what)`: a value past
 double range raises ValueError("the <what> exceeds double range"), so
 every public route returns finite numbers or raises.  `_check_range`
 names the first order of a sequence through it, and the series ratio
-coupling/2E is formed in one place, `_order_terms`.
+coupling/2E is formed in one place, `_even_terms`.
 
 Only |W| and even powers of alpha enter, so results are invariant under
 alpha -> -alpha and under any phase rotation of W.
@@ -39,6 +39,7 @@ concurrent callers never share state.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
 from typing import NamedTuple
@@ -186,27 +187,39 @@ def _check_range(values: Sequence[float], what: str, step: int = 1) -> None:
         _finite(values[k], f"order-{step * (k + 1)} {what}")
 
 
-def _order_terms(e0: float, coupling: float, max_order: int) -> list[float]:
-    """e0 times the Catalan term of x = (coupling/2E)**2 at each even order, 0.0 at each odd one.
+def _even_terms(e0: float, coupling: float, count: int) -> list[float]:
+    """e0 times the Catalan term of x = (coupling/2E)**2 at orders 2, 4, ..., 2*count.
 
-    Entry s - 1 belongs to order s = 1..max_order.  With coupling =
-    |alpha*W| these are the series terms alpha**s * E_s, with coupling =
-    |W| the coefficients E_s.  The ratio coupling/2E is formed here alone,
-    as coupling / e0 / 2 so that no intermediate 2*e0 overflows.  Where x
-    underflows below the normal range the order-2 term is taken as
-    coupling * ratio, which keeps the bits x lost.  A value outside
-    double range raises ValueError naming the first order that leaves it;
-    the kernel works on x, so an x past double range is refused at order
-    2 even where e0 times it would fit (a subnormal e0).
+    With coupling = |alpha*W| these are the series terms alpha**s * E_s,
+    with coupling = |W| the coefficients E_s.  The ratio coupling/2E is
+    formed here alone, as coupling / e0 / 2 so that no intermediate 2*e0
+    overflows.  Where a Catalan term underflows below the normal range,
+    e0 is folded in first (the order-2 term is coupling * ratio), for as
+    long as the product stays normal, so it keeps the bits the term lost.
+    A value outside double range raises ValueError naming the first order
+    that leaves it; the kernel works on x, so an x past double range is
+    refused at order 2 even where e0 times it would fit (a subnormal e0).
     """
     ratio = coupling / e0 / 2.0
     x = ratio * ratio  # past double range this is inf, and the order-2 term names it
-    even = [e0 * term for term in _catalan_terms(x, max_order // 2)]
+    factors = list(_catalan_terms(x, count))
+    even = [e0 * factor for factor in factors]
     if even and x < _DBL_MIN:
         even[0] = coupling * ratio
+    # factors below the normal range come last: they occur only for x < 1/4, where all decay
+    for t in range(max(1, bisect_left(factors, True, key=lambda f: abs(f) < _DBL_MIN)), count):
+        carried = even[t - 1] * (-x * (4 * t - 2) / (t + 1))
+        if abs(carried) < _DBL_MIN:
+            break
+        even[t] = carried
     _check_range(even, "coefficient", step=2)
+    return even
+
+
+def _order_terms(e0: float, coupling: float, max_order: int) -> list[float]:
+    """Entry s - 1: the `_even_terms` entry at even s, 0.0 at odd s, s = 1..max_order."""
     terms = [0.0] * max_order
-    terms[1::2] = even
+    terms[1::2] = _even_terms(e0, coupling, max_order // 2)
     return terms
 
 

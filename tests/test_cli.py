@@ -559,6 +559,22 @@ def test_readme_commands_match_golden_outputs(tmp_path):
                 assert text == golden.read(), (name, fmt)
 
 
+def test_readme_data_commands_match_golden_outputs_at_precisions_1_and_15(run_cli):
+    # tests/data/<command>.p<K>.<format> pins, byte for byte, what each README
+    # data command printed at --precision K when the files were made; between
+    # them they reach every float path of the renderer: JSON's '%.Kf' fast
+    # path and its repr fallback (terms below 1e-4; |x| >= 1 at K = 15),
+    # zeros (the level curves start at coupling 0) and constant columns
+    for name in ("sigma", "hydrogen-table", "levels", "series"):
+        for precision in ("1", "15"):
+            for fmt in ("csv", "json"):
+                proc = run_cli(*README_COMMANDS[name], "--format", fmt,
+                               "--precision", precision, expect=0)
+                path = os.path.join(DATA_DIR, f"{name}.p{precision}.{fmt}")
+                with open(path, newline="") as golden:
+                    assert proc.stdout == golden.read(), (name, precision, fmt)
+
+
 def test_json_format(run_cli):
     proc = run_cli(
         "hydrogen-table", "--alphaw", "0.15", "--n-max", "2",
@@ -700,6 +716,44 @@ assert not loaded, loaded
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == golden_oracle_csv()
+
+
+def test_a_cold_oracle_command_loads_no_dataclasses():
+    # the oracle's records are named tuples; numpy itself loads inspect
+    script = ORACLE_SCRIPT.format(argv=list(README_COMMANDS["oracle"])) + """
+assert "dataclasses" not in sys.modules
+"""
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden_oracle_csv()
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("user_setting", [None, "OPENBLAS_NUM_THREADS=2", "OMP_NUM_THREADS=2"])
+def test_a_cold_oracle_command_starts_no_idle_blas_threads(user_setting):
+    # the oracle's LAPACK calls are sequential, so the command asks the BLAS
+    # libraries for no thread pool, unless the user chose a size
+    script = ORACLE_SCRIPT.format(argv=list(README_COMMANDS["oracle"])) + """
+import os
+sys.stderr.write(f"{len(os.listdir('/proc/self/task'))} {os.environ.get('OPENBLAS_NUM_THREADS')}")
+"""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    if user_setting:
+        name, value = user_setting.split("=")
+        env[name] = value
+    src = os.path.dirname(os.path.dirname(quatpert.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(env, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden_oracle_csv()
+    threads, openblas = proc.stderr.split()
+    if user_setting is None:
+        assert (threads, openblas) == ("1", "1")
+    else:  # kept as the user set it
+        assert openblas == ("2" if user_setting.startswith("OPENBLAS") else "None")
 
 
 # each makes the oracle's lookup of scipy's LAPACK extension file miss; only

@@ -19,6 +19,7 @@ import warnings
 from typing import NamedTuple
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -59,6 +60,7 @@ from quatpert import (
 )
 from quatpert import models, relativistic, series
 from quatpert._output import OutputSpec
+from quatpert.oracle import DiscreteHamiltonian, Grid1D, default_grid, oracle_compare
 
 DBL_MAX = sys.float_info.max
 DBL_MIN = sys.float_info.min
@@ -182,6 +184,10 @@ RECORDS = {
     "SigmaCurveResult": ROUTES["sigma_curve"],
     "ComparisonTable": ROUTES["comparison_table"],
     "OutputSpec": lambda d: OutputSpec("json", None, d.s),
+    "Grid1D": lambda d: Grid1D(d.e0, d.w_re, d.s + 1),
+    "DiscreteHamiltonian": lambda d: DiscreteHamiltonian(np.array([d.e0, d.w_re]), d.w_im,
+                                                         d.alpha, d.n),
+    "OracleReport": lambda d: oracle_compare(d.model, d.n, d.alpha, default_grid(d.model, 50), 10),
 }
 
 
@@ -198,7 +204,14 @@ def test_records_keep_the_repr_and_hash_of_a_frozen_dataclass(record, d):
             continue
         frozen = dataclasses.make_dataclass(type(item).__name__, item._fields, frozen=True)
         reference = frozen(*item)
-        assert (repr(item), hash(item)) == (repr(reference), hash(reference))
+        assert repr(item) == repr(reference)
+        try:
+            expected = hash(reference)
+        except TypeError:  # an array field: neither hashes
+            with pytest.raises(TypeError):
+                hash(item)
+        else:
+            assert hash(item) == expected
         with pytest.raises(AttributeError):
             setattr(item, item._fields[0], None)
 

@@ -2,6 +2,7 @@
 hydrogen level sampler against the checked closed form."""
 
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -57,6 +58,48 @@ specs = st.builds(OutputSpec, st.sampled_from(["csv", "json"]), st.none(), st.in
 @example(table=(["x", "y"], [(-0.0, None), (1e300, 0.25)]), spec=OutputSpec("json", None, 15))
 def test_render_matches_the_per_cell_reference(table, spec):
     columns, rows = table
+    assert render(spec, columns, rows) == reference_render(spec, columns, rows)
+
+
+def json_float_edges(k):
+    """Floats at the edges of the JSON fast path at precision k: each bound of
+    [max(1e-4, 10**-k), 10**(15-k)) and one ulp either side, half-way points
+    (j + 1/2) * 10**-k, signed zeros, subnormals and the non-finite values."""
+    bounds = (1e-4, float(f"1e-{k}"), float(f"1e{15 - k}"))
+    edges = [b for x in bounds for b in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+    edges += [(j + 0.5) * float(f"1e-{k}") for j in (0, 1, 2, 7, 12344, 10**(14 - k))]
+    edges += [float(f"{j}5e-{k + 1}") for j in (0, 1, 2, 7, 12344)]
+    edges += [0.0, 5e-324, 2.2250738585072014e-308 / 3, math.inf, math.nan]
+    return edges + [-x for x in edges]
+
+
+@st.composite
+def edge_float_tables(draw):
+    """One precision and a table of float columns drawn from its edges, with
+    a column that mixes 0, False, 0.0, -0.0 and None."""
+    k = draw(st.integers(1, 15))
+    high = float(f"1e{15 - k}")  # past it '%.Kf' can need 16 digits where repr needs 15
+    cell = st.one_of(st.sampled_from(json_float_edges(k)), st.floats(high, 10 * high), st.floats())
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[cell] * width), min_size=1, max_size=6))
+    mixed = draw(st.lists(st.sampled_from([0, False, 0.0, -0.0, None, True, 1]),
+                          min_size=len(rows), max_size=len(rows)))
+    rows = [(*row, m) for row, m in zip(rows, mixed)]
+    return k, [str(c) for c in range(width + 1)], rows
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(table=edge_float_tables(), fmt=st.sampled_from(["csv", "json"]))
+@example(table=(5, ["a", "b"], [(1e-4, 0), (2.5e-5, False)]), fmt="json")
+@example(table=(5, ["a", "b"], [(0.00015, False), (-0.0, 0)]), fmt="csv")
+@example(table=(15, ["a", "b"], [(0.9999999999999999, 0.0), (1e-15, -0.0)]), fmt="json")
+@example(table=(15, ["a", "b"], [(0.5, None), (9.51923804952271, None)]), fmt="json")
+def test_json_float_rule_matches_the_per_cell_reference(table, fmt):
+    # the '%.Kf' fast path must print repr(round(x, K) + 0.0) at and around
+    # its guard, and a column of equal cells of different types (0 == False
+    # == 0.0) must not be taken for a constant one
+    k, columns, rows = table
+    spec = OutputSpec(fmt, None, k)
     assert render(spec, columns, rows) == reference_render(spec, columns, rows)
 
 

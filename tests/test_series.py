@@ -11,6 +11,7 @@ from quatpert.series import (
     PerturbationSpec,
     RadiusError,
     _catalan_terms,
+    _order_terms,
     catalan,
     closed_form_limit,
     correction_coefficient_closed,
@@ -306,6 +307,35 @@ def test_term_below_power_underflow_is_accurate():
         reference = mpmath.mpf(spec.e0) * mp_catalan_terms(x, 72)[-1]
     assert float(reference) == pytest.approx(-8.47e-285, rel=1e-3)
     assert abs(ev.terms[143] - reference) <= 1e-13 * abs(reference)
+
+
+def mp_coefficients(e0, w, count):
+    """E_2t = (-1)**(t+1) * Cat(t-1) * |W|**(2t) / (2E)**(2t-1), t = 1..count, at 50 digits."""
+    with mpmath.workdps(50):
+        e, w = mpmath.mpf(e0), abs(mpmath.mpf(w))
+        return [(-1) ** (t + 1) * EXACT_CATALAN[t - 1] * w ** (2 * t) / (2 * e) ** (2 * t - 1)
+                for t in range(1, count + 1)]
+
+
+@KERNEL_SETTINGS
+@given(
+    e0=st.floats(0.0, 308.0).map(lambda e: 10.0**e),
+    negative=st.booleans(),
+    ratio=st.floats(-160.0, 0.0).map(lambda e: 10.0**e),
+)
+@example(e0=1e300, negative=False, ratio=2e-100)  # E_4 = -2e-100, E_6 = 4e-300
+@example(e0=1.7e308, negative=True, ratio=2.9e-154)  # x = (|W|/2E0)**2 is subnormal
+@example(e0=1e20, negative=False, ratio=1e-2)  # the factor is subnormal past E_152, E_162 is not
+@example(e0=13.6, negative=True, ratio=0.15 / 13.6)
+@example(e0=1.0, negative=False, ratio=1.0)  # on the radius: no term underflows
+def test_normal_coefficients_match_a_50_digit_reference(e0, negative, ratio):
+    # every coefficient that is a normal double keeps its digits, also
+    # where the Catalan factor alone is below the normal range and only e0
+    # times it is not
+    e0, w = (-e0 if negative else e0), e0 * ratio
+    count = 200
+    got = _order_terms(e0, w, 2 * count)[1::2]
+    assert_terms_match(got, mp_coefficients(e0, w, count))
 
 
 @KERNEL_SETTINGS
