@@ -199,9 +199,8 @@ def _parser(name: str) -> tuple[_Parser, tuple]:
 
 quantum_number = _IntRange(hi=100000)  # lower bounds are the models' own
 _ORACLE_GRID_POINTS = 2**24  # rows x N of one oracle run: a few seconds of work
-# A row's fixed cost (series, certification, rendering; about 0.25 ms) is
-# that of about 1200 grid points at 0.21 us a point, so a row counts as at
-# least this many points.
+# A row's fixed cost (series, certification, rendering) is about 0.1 ms and
+# a grid point of a cached bare level 0.02 us; a row counts as at least this.
 _ORACLE_ROW_POINTS = 1024
 
 

@@ -56,15 +56,15 @@ time of a cold `oracle` command.  Where the file cannot be found or loaded,
 the same routines come from the public `scipy.linalg.lapack.get_lapack_funcs`.
 Checked with scipy 1.17.1.
 
-The bare pair (e, u) depends on the model, n and the grid, not on alpha,
-and costs about as much as the rest of a call.  `_bare_level` computes it
-once per (model, n, grid) and keeps it in a least-recently-used cache of
-64 entries, so a strength sweep at one level solves H once; every
-per-strength gate still runs on every call.  An entry holds the diagonal
-of H and the bare vector, 16 bytes per grid point: 2 MB for 64 entries at
-N = 2000, 64 MB at most at N = 65536.  Both arrays are read-only, and a
-refusal or an OracleError is never cached, so it is raised again on every
-call.
+The bare pair (e, u) depends on the model, n and the grid, not on alpha.
+`_bare_level` computes it once per (model, n, grid) and keeps it in a
+least-recently-used cache of 64 entries, so a strength sweep at one level
+solves H once; every per-strength gate still runs on every call.  An entry
+holds the diagonal of H and u (16 bytes per grid point, 64 MB at most at
+N = 65536; both read-only) and an inertia bracket, two Sturm counts made
+once that leave one |e| of H, level m's, in [t_lo, t_hi): a strength whose
+window maps into it takes its counts from that proof (`_inertia_counts`).
+A refusal or an OracleError is never cached, so it is raised on every call.
 """
 
 from __future__ import annotations
@@ -389,11 +389,17 @@ def _count_below(h: DiscreteHamiltonian, c: float, lower: float,
     +/-hypot(e, c) - sigma.  With t = sqrt((|sigma| - c)(|sigma| + c)), the
     count below sigma > 0 is N + #{|e| < t} and below sigma <= 0 is
     N - #{|e| <= t}, each set empty where that product is negative: one
-    Sturm count of H per end (`DiscreteHamiltonian._levels_in`).  A W that
-    varies from site to site couples the levels, and needs a count over
-    the pivots of R itself.
+    Sturm count of H per end (`DiscreteHamiltonian._levels_in`), or none
+    where the bare level's bracket covers both (`_inertia_counts`).  A W that
+    varies by site couples the levels, and needs a count over R's pivots.
     """
     return _count_at(h, c, lower), _count_at(h, c, upper)
+
+
+def _inertia_root(s: float, c: float) -> float:
+    """sqrt((s - c)(s + c)) for s >= c, in an exact power-of-two unit that keeps t**2 in range."""
+    unit = math.ldexp(1.0, math.frexp(s + c)[1])
+    return unit * math.sqrt((s - c) / unit * ((s + c) / unit))
 
 
 def _count_at(h: DiscreteHamiltonian, c: float, sigma: float) -> int:
@@ -407,9 +413,7 @@ def _count_at(h: DiscreteHamiltonian, c: float, sigma: float) -> int:
         # max(1, o**2)) of an end as on it, so they are counted over (-2 floor, 0].
         floor = sys.float_info.min * max(1.0, h.off_diagonal * h.off_diagonal)
         return h.size - h._levels_in(-2.0 * floor, 0.0)
-    # a power-of-two unit keeps t**2 in range and rounds t as unscaled
-    unit = math.ldexp(1.0, math.frexp(s + c)[1])
-    t = unit * math.sqrt((s - c) / unit * ((s + c) / unit))
+    t = _inertia_root(s, c)
     # the window is (low, high]: the strict end of |e| < t moves one ulp
     # inward, the closed end e >= -t of |e| <= t one ulp outward
     if sigma > 0.0:
@@ -417,8 +421,22 @@ def _count_at(h: DiscreteHamiltonian, c: float, sigma: float) -> int:
     return h.size - h._levels_in(math.nextafter(-t, -math.inf), t)
 
 
-def _certified_eigenpair(h: DiscreteHamiltonian, c: float, index: int, level: float,
-                         u_vec: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+def _inertia_counts(h: DiscreteHamiltonian, c: float, lower: float, upper: float,
+                    bracket: tuple | None) -> tuple[int, int]:
+    """`_count_below`, read off the bare level's `_bracket` where both window ends map into it."""
+    if bracket is not None and lower > c:
+        m, t_lo, t_hi, e, r = bracket
+        # The bracket leaves exactly one |e_k| in [t_lo, t_hi), and the bare
+        # residual puts a level of H in [e - r, e + r], inside (t_lo, t_hi) and
+        # above 0: it is that one.  So m of the |e_k| lie below the root t1 of
+        # the lower end, and m + 1 below the upper end's t2 (counts grow with t).
+        if t_lo <= _inertia_root(lower, c) <= e - r and e + r < _inertia_root(upper, c) <= t_hi:
+            return h.size + m, h.size + m + 1
+    return _count_below(h, c, lower, upper)
+
+
+def _certified_eigenpair(h: DiscreteHamiltonian, c: float, index: int, level: float, u_vec:
+                         np.ndarray, bracket=None) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Eigenpair at sorted position `index` of R = [[H, c], [c, -H]], from the bare pair of H.
 
     `level` and the unit `u_vec` are a certified level of H and its vector
@@ -430,7 +448,7 @@ def _certified_eigenpair(h: DiscreteHamiltonian, c: float, index: int, level: fl
     largest column norm of R, at most 1e-8.  Some eigenvalue lies within
     the absolute residual of lam; two inertia counts then show that exactly
     one eigenvalue, the one at `index`, lies within
-    max(||R v - lam v||, 1e-12 * norm) of lam.
+    max(||R v - lam v||, 1e-12 * norm) of lam (`_inertia_counts`).
     """
     v1, v2 = _block_vector(c, level, u_vec)
     norm = _column_norm(h, c)
@@ -440,7 +458,7 @@ def _certified_eigenpair(h: DiscreteHamiltonian, c: float, index: int, level: fl
             f"eigenpair residual exceeds {_RESIDUAL_REL:g} * ||B|| at {lam:.6g}"
         )
     delta = max(residual, _WINDOW_REL * norm)
-    below, through = _count_below(h, c, lam - delta, lam + delta)
+    below, through = _inertia_counts(h, c, lam - delta, lam + delta, bracket)
     if (below, through) != (index, index + 1):
         raise OracleError(
             f"branch matching failed: {through - below} eigenvalue(s) within "
@@ -516,19 +534,36 @@ def _check_request(model: ModelKind, pairs, grid: Grid1D) -> None:
     _check_box(_grid_model(model), grid)
 
 
+class _BareLevel(tuple):
+    """A `_bare_level` entry: unpacks as (H, m, e, u) and carries its `bracket`."""
+
+
+def _bracket(ham: DiscreteHamiltonian, m: int, e: float, u_vec: np.ndarray,
+             t_lo: float, t_hi: float) -> tuple | None:
+    """(m, t_lo, t_hi, e, r) if [e - r, e + r], r = ||H u - e u||, lies inside (t_lo,
+    t_hi) and Sturm counts (as in `_count_at`) find m |e_k| below t_lo, m + 1 below t_hi."""
+    r = _residual_norm(_column_norm(ham, 0.0), ham.apply(u_vec) - e * u_vec)
+    if t_lo < e - r and e + r < t_hi and all(
+            (ham._levels_in(-t, math.nextafter(t, 0.0)) if t > 0.0 else 0) == want
+            for t, want in ((t_hi, m + 1), (t_lo, m))):
+        return m, t_lo, t_hi, e, r
+    return None
+
+
 @functools.lru_cache(maxsize=_BARE_LEVEL_ENTRIES)
-def _bare_level(model: ModelKind, n: int,
-                grid: Grid1D) -> tuple[DiscreteHamiltonian, int, float, np.ndarray]:
-    """(H, m, e, u): H on `grid`, level n's sorted position m, and its
-    certified bare pair (`DiscreteHamiltonian.eigenpair`, started at the
-    analytic level), cached per (model, n, grid).  The cached diagonal of H
-    and u are read-only."""
+def _bare_level(model: ModelKind, n: int, grid: Grid1D) -> _BareLevel:
+    """(H, m, e, u): H on `grid`, level n's sorted position m, and its certified
+    bare pair (`DiscreteHamiltonian.eigenpair`, started at the analytic level),
+    cached per (model, n, grid), read-only, with its `_bracket`: t_lo = 0 at the
+    lowest level, and each other end halfway from e to the analytic level n -+ 1."""
     ham = discretize(model, grid)
     m = ham.level_index(n)
-    e, u_vec = ham.eigenpair(m, _MODELS[model].energy(n) * ham.level_scale)
-    ham.diagonal.flags.writeable = False
-    u_vec.flags.writeable = False
-    return ham, m, e, u_vec
+    below, guess, above = (_MODELS[model].energy(k) * ham.level_scale for k in (n - 1, n, n + 1))
+    e, u_vec = ham.eigenpair(m, guess)
+    ham.diagonal.flags.writeable = u_vec.flags.writeable = False
+    entry = _BareLevel((ham, m, e, u_vec))
+    entry.bracket = _bracket(ham, m, e, u_vec, (e + below) / 2 if m else 0.0, (e + above) / 2)
+    return entry
 
 
 def oracle_compare(
@@ -553,7 +588,7 @@ def oracle_compare(
     """
     model = ModelKind(model)
     _check_request(model, [(n, alpha)], grid)
-    ham, m, e0_grid, u_vec = _bare_level(model, n, grid)
+    ham, m, e0_grid, u_vec = entry = _bare_level(model, n, grid)
     spec = perturbation_spec(LevelSpec(model, n), alpha)
     e0_analytic = spec.e0
     e0_discrete = e0_grid / ham.level_scale
@@ -568,7 +603,8 @@ def oracle_compare(
     tol = compare_tolerance(grid.n_points)
     try:
         # positive branch, ordering preserved
-        lam, v1, v2, residual = _certified_eigenpair(ham, c, ham.size + m, e0_grid, u_vec)
+        lam, v1, v2, residual = _certified_eigenpair(ham, c, ham.size + m, e0_grid, u_vec,
+                                                     entry.bracket)
         overlap = float(
             abs(u_vec @ v1) / (np.linalg.norm(u_vec) * np.linalg.norm(v1))
         )

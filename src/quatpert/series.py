@@ -238,14 +238,13 @@ def correction_coefficient_closed(spec: PerturbationSpec, s: int) -> float:
 def correction_coefficient_recurrence(spec: PerturbationSpec, s: int) -> float:
     """Coefficient E_s of alpha**s from the convolution recurrence.
 
-    2E * E_2s = - sum_{t} E_2t * E_2(s-t) is carried in units of
-    E_2 = |W| * ratio, ratio = |W|/2E: h_t = E_2t / E_2 starts at h_1 = 1
-    and obeys h_s = -ratio**2 * sum_t h_t * h_(s-t), so no product scales
-    with E**2 or |W|**2 and E_2 keeps its bits where ratio**2 underflows.
-    Lower orders are memoized in a local table, so the call is safe under
-    concurrent use.  Agrees with :func:`correction_coefficient_closed` at
-    every order, and like it raises ValueError naming the first order that
-    leaves double range.
+    2E * E_2s = - sum_{t} E_2t * E_2(s-t) is carried free of the spec, as
+    E_2t = E_2 * 4**t k_t * ratio**(2t-2), E_2 = |W| * ratio, ratio = |W|/2E:
+    k_1 = 1/4 and k_s = -sum_t k_t * k_(s-t) stays near 1/(4 sqrt(pi) s**1.5),
+    and E_2t is multiplied out as mantissas and a power of two, so nothing
+    leaves double range before the coefficient does.  Agrees with
+    :func:`correction_coefficient_closed` at every order, and like it
+    raises ValueError naming the first order that leaves double range.
     """
     if s < 1:
         raise ValueError("order must be >= 1")
@@ -253,14 +252,20 @@ def correction_coefficient_recurrence(spec: PerturbationSpec, s: int) -> float:
         return 0.0
     t_max = s // 2
     ratio = spec.w_magnitude / spec.e0 / 2.0
-    h = [0.0, 1.0] + [0.0] * (t_max - 1)  # h[t] holds E_{2t} / E_2
+    k = [0.0, 0.25] + [0.0] * (t_max - 1)
     for t in range(2, t_max + 1):
-        conv = 0.0
-        for j in range(1, t):
-            conv += h[j] * h[t - j]
-        h[t] = -ratio * ratio * conv
-    e2 = spec.w_magnitude * ratio  # +-inf past double range
-    coefficients = [e2 * value for value in h[1:]]
+        k[t] = -sum(k[j] * k[t - j] for j in range(1, t))
+    # E_2t = E_2 * 4 k_t * (2 ratio)**(2t-2) = ldexp(e2 * 4 k_t * power, exp): mantissas < 1
+    e2, exp = math.frexp(spec.w_magnitude * ratio)  # +-inf past double range
+    r, r_exp = math.frexp(ratio)
+    power, coefficients = 1.0, []
+    for t in range(1, t_max + 1):
+        try:
+            coefficients.append(math.ldexp(e2 * 4.0 * k[t] * power, exp))
+        except OverflowError:
+            _finite(math.inf, f"order-{2 * t} coefficient")
+        power, step = math.frexp(power * r * r)
+        exp += step + 2 * r_exp + 2
     _check_range(coefficients, "coefficient", step=2)
     return coefficients[-1]
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 import complex_embedding
 import quatpert.oracle as oracle_mod
@@ -32,9 +33,11 @@ from quatpert.oracle import (
     DiscreteHamiltonian,
     Grid1D,
     OracleError,
+    _bracket,
     _certified_eigenpair,
     _column_norm,
     _count_below,
+    _inertia_counts,
     _residual,
     compare_tolerance,
     default_grid,
@@ -577,15 +580,32 @@ def _assert_counts_agree(op, eigs, pairs):
         assert _count_below(*op, lower, upper) == sweep_count_below(*op, lower, upper) == want
 
 
-def test_congruence_count_matches_the_block_sweep_on_the_certification_windows(monkeypatch):
-    # the windows lam +- delta that certify the 33 criterion-6 cases at N = 500
+def _recorded_windows(monkeypatch):
+    """Patch the oracle's `_inertia_counts`, where each certification's counts
+    are decided, to record its ((h, c), lower, upper, bracket)."""
     windows = []
+    inertia_counts = oracle_mod._inertia_counts
 
-    def recording(h, c, lower, upper):
-        windows.append(((h, c), lower, upper))
-        return _count_below(h, c, lower, upper)
+    def recording(h, c, lower, upper, bracket):
+        windows.append(((h, c), lower, upper, bracket))
+        return inertia_counts(h, c, lower, upper, bracket)
 
-    monkeypatch.setattr(oracle_mod, "_count_below", recording)
+    monkeypatch.setattr(oracle_mod, "_inertia_counts", recording)
+    return windows
+
+
+def _bracket_counts(op, lower, upper, bracket):
+    """The counts read off `bracket` alone: the Sturm-count fallback is disabled."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_mod, "_count_below", None)
+        return _inertia_counts(*op, lower, upper, bracket)
+
+
+def test_congruence_count_matches_the_block_sweep_on_the_certification_windows(monkeypatch):
+    # the windows lam +- delta that certify the 33 criterion-6 cases at N = 500:
+    # the bracket's counts, the congruence count, the block sweep and the
+    # sorted spectrum agree on each
+    windows = _recorded_windows(monkeypatch)
     for model, n in CRITERION_6_LEVELS:
         for fraction in (0.1, 0.5, 0.9):
             alpha = fraction * alpha_max(model, n)
@@ -594,8 +614,9 @@ def test_congruence_count_matches_the_block_sweep_on_the_certification_windows(m
             w = perturbation_spec(LevelSpec(model, n), alpha).w * ham.level_scale
             windows.clear()
             assert oracle_compare(model, n, alpha, grid).passed
-            (op, lower, upper), = windows
+            (op, lower, upper, bracket), = windows
             index = ham.size + ham.level_index(n)
+            assert _bracket_counts(op, lower, upper, bracket) == (index, index + 1)
             _assert_counts_agree(op, all_eigenvalues(ham, alpha, w), [(lower, upper)])
             assert _count_below(*op, lower, upper) == (index, index + 1)
 
@@ -630,6 +651,219 @@ def test_congruence_count_matches_the_block_sweep_on_exact_eigenvalues():
         assert np.linalg.eigvalsh(dense_b(ham, 1.0, c)) == pytest.approx(eigs, abs=1e-12)
         shifts = np.concatenate([eigs, [c, -c, 0.0]])
         _assert_counts_agree(op, eigs, [(lower, upper) for lower in shifts for upper in shifts])
+
+
+# --- the inertia bracket of a cached bare level -------------------------------
+
+# strengths from 0 to the level radius, both included
+FRACTIONS = [k / 10 for k in range(11)]
+
+
+def _certification_window(model, n, alpha, grid):
+    """The (op, lower, upper, bracket) that certifies one oracle_compare call,
+    or None where the call stops before its counts."""
+    with pytest.MonkeyPatch.context() as patch:
+        windows = _recorded_windows(patch)
+        try:
+            oracle_compare(model, n, alpha, grid)
+        except ValueError:  # a level the grid cannot hold, or an OracleError
+            pass
+    return windows[0] if windows else None
+
+
+def _assert_bracket_agrees(op, lower, upper, bracket):
+    """The counts of `_inertia_counts` are `_count_below`'s; True if the
+    bracket alone gave them, False if the window left it."""
+    want = _count_below(*op, lower, upper)
+    assert _inertia_counts(*op, lower, upper, bracket) == want
+    try:
+        fast = _bracket_counts(op, lower, upper, bracket)
+    except TypeError:  # the disabled fallback was called
+        return False
+    assert fast == want
+    return True
+
+
+def test_a_bracket_with_the_wrong_level_index_is_refused_and_none_is_cached(monkeypatch):
+    grid = Grid1D(0.0, 1.0, 200)
+    for n in (1, 3):
+        ham, m, e, u_vec = entry = oracle_mod._bare_level(WELL, n, grid)
+        ends = entry.bracket[1:3]
+        assert entry.bracket[0] == m and _bracket(ham, m, e, u_vec, *ends) == entry.bracket
+        for wrong in (m - 1, m + 1):
+            assert _bracket(ham, wrong, e, u_vec, *ends) is None
+    # a bare level whose bracket is built with m + 1 caches None, and each of
+    # its strengths takes two Sturm counts and reports as before
+    reports = [oracle_compare(WELL, 2, f * alpha_max(WELL, 2), grid) for f in FRACTIONS]
+    oracle_mod._bare_level.cache_clear()
+    bracket = oracle_mod._bracket
+    monkeypatch.setattr(oracle_mod, "_bracket", lambda h, m, *rest: bracket(h, m + 1, *rest))
+    assert oracle_mod._bare_level(WELL, 2, grid).bracket is None
+    ranges = _recorded_stebz_ranges(monkeypatch)
+    for fraction, report in zip(FRACTIONS, reports):
+        assert repr(oracle_compare(WELL, 2, fraction * alpha_max(WELL, 2), grid)) == repr(report)
+    assert ranges == [1, 1] * len(FRACTIONS)
+
+
+def test_a_window_that_leaves_the_bracket_takes_the_sturm_counts(monkeypatch):
+    grid = Grid1D(0.0, 1.0, 200)
+    ham, m, e, u_vec = entry = oracle_mod._bare_level(WELL, 2, grid)
+    _, t_lo, t_hi, _, _ = entry.bracket
+    c = 0.5 * e
+    rho, near = math.hypot(e, c), 1e-9 * e
+    # sigma = hypot(t, c) maps to the inertia root t
+    inside = [(math.hypot((t_lo + e) / 2, c), math.hypot((e + t_hi) / 2, c)),
+              (rho - near, rho + near)]
+    outside = [
+        (math.hypot(0.9 * t_lo, c), rho + near),  # the lower end maps below t_lo
+        (rho - near, math.hypot(1.1 * t_hi, c)),  # the upper end maps past t_hi
+        (math.hypot(e, c), rho + near),  # the lower end maps onto the level
+        (rho - near, math.hypot(e, c)),  # the upper end maps onto the level
+        (0.5 * c, rho),  # the lower end lies in the gap (-c, c)
+        (-rho, rho),  # the lower end lies on the negative branch
+    ]
+    assert all(_assert_bracket_agrees((ham, c), lo, up, entry.bracket) for lo, up in inside)
+    assert not any(_assert_bracket_agrees((ham, c), lo, up, entry.bracket) for lo, up in outside)
+    # the n = 3 pair on the n = 2 bracket: its window maps past t_hi, the Sturm
+    # counts decide, and the gate names the failed branch matching
+    e3, u3 = ham.eigenpair(2, analytic_level(ham, WELL, 3))
+    block_vector = oracle_mod._block_vector
+    monkeypatch.setattr(oracle_mod, "_block_vector", lambda c, level, u: block_vector(c, e3, u3))
+    windows = _recorded_windows(monkeypatch)
+    with pytest.raises(OracleError, match="branch matching failed: .* expected one"):
+        oracle_compare(WELL, 2, 0.2, grid)
+    (op, lower, upper, bracket), = windows
+    assert bracket == entry.bracket and not _assert_bracket_agrees(op, lower, upper, bracket)
+
+
+def test_the_lowest_level_brackets_from_zero():
+    for model, n in [(WELL, 1), (OSC, 0)]:
+        grid = default_grid(model, 500)
+        for fraction in FRACTIONS:
+            op, lower, upper, bracket = _certification_window(
+                model, n, fraction * alpha_max(model, n), grid)
+            assert bracket[:2] == (0, 0.0)
+            assert _assert_bracket_agrees(op, lower, upper, bracket)
+            assert _bracket_counts(op, lower, upper, bracket) == (op[0].size, op[0].size + 1)
+
+
+@pytest.mark.parametrize("n_points", [3, 8])
+def test_brackets_missed_on_coarse_grids_leave_the_counts_right(n_points):
+    # on 3 and 8 points the grid moves levels past the halfway points to
+    # their analytic neighbours, and some brackets are refused
+    missed = 0
+    for model, n in CRITERION_6_LEVELS:
+        for fraction in FRACTIONS:
+            window = _certification_window(model, n, fraction * alpha_max(model, n),
+                                           default_grid(model, n_points))
+            if window is not None:
+                missed += window[3] is None
+                _assert_bracket_agrees(*window)
+    assert missed > 0
+
+
+def test_brackets_hold_on_the_extreme_boxes():
+    # the widest spacing the stencil rule admits (5e76) and the +-5e75
+    # oscillator, whose levels coincide to roundoff and whose bracket is refused
+    cases = [(WELL, Grid1D(0.0, 5e76 * 2001, 2000), range(1, 6)),
+             (OSC, Grid1D(-5e75, 5e75, 100), range(0, 3))]
+    taken = 0
+    for model, grid, levels in cases:
+        for n in levels:
+            for fraction in FRACTIONS:
+                window = _certification_window(model, n, fraction * alpha_max(model, n), grid)
+                if window is not None:
+                    taken += _assert_bracket_agrees(*window)
+    assert taken >= 5 * len(FRACTIONS)
+
+
+def test_a_bracket_counts_absolute_levels_when_some_are_negative():
+    # levels -3, -0.5, 1, 2, 4: sorted position 2 (level 1) has one |e| below
+    # it, so a bracket built with m = 2 is refused, and one built with the
+    # |e| rank 1 holds; a negative level lies below t_lo >= 0 and is refused
+    ham = DiscreteHamiltonian(diagonal=np.array([-3.0, -0.5, 1.0, 2.0, 4.0]), off_diagonal=0.0)
+    unit = np.eye(5)
+    assert _bracket(ham, 2, 1.0, unit[2], 0.75, 1.5) is None
+    assert _bracket(ham, 1, -0.5, unit[1], 0.0, 0.75) is None
+    bracket = _bracket(ham, 1, 1.0, unit[2], 0.75, 1.5)
+    assert bracket == (1, 0.75, 1.5, 1.0, 0.0)
+    for c in (0.0, 0.3, 2.0):
+        rho = math.hypot(1.0, c)
+        assert _assert_bracket_agrees((ham, c), rho - 1e-6, rho + 1e-6, bracket)
+    # a well with its lowest two levels shifted below zero (-54, -25, 25, 93,
+    # 181, ...): the counts refuse the negative level and the positive one
+    # whose |e| ties with it, admit the two above, and every bracket gives
+    # the Sturm counts' answer at every strength
+    well = discretize(WELL, default_grid(WELL, 64))
+    levels = sla.eigh_tridiagonal(well.diagonal, np.full(63, well.off_diagonal),
+                                  eigvals_only=True)[:6]
+    shifted = DiscreteHamiltonian(well.diagonal - (levels[1] + levels[2]) / 2, well.off_diagonal)
+    levels = levels - (levels[1] + levels[2]) / 2
+    admitted = []
+    for m in range(1, 5):
+        e, u_vec = shifted.eigenpair(m, levels[m])
+        bracket = _bracket(shifted, m, e, u_vec, max(0.0, (e + levels[m - 1]) / 2),
+                           (e + levels[m + 1]) / 2)
+        admitted += [m] if bracket is not None else []
+        for c in (0.0, 0.1 * abs(e), abs(e)):
+            rho = math.hypot(e, c)
+            delta = 1e-12 * _column_norm(shifted, c)
+            _assert_bracket_agrees((shifted, c), rho - delta, rho + delta, bracket)
+    assert admitted == [3, 4]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(level=st.sampled_from(CRITERION_6_LEVELS),
+       n_points=st.sampled_from([3, 5, 8, 16, 64, 301, 500, 2000]),
+       fraction=st.floats(0.0, 1.0), spread=st.sampled_from([1.0, 10.0, 1e4, 1e8]))
+def test_the_bracket_gives_the_sturm_counts_on_drawn_windows(level, n_points, fraction, spread):
+    model, n = level
+    window = _certification_window(model, n, fraction * alpha_max(model, n),
+                                   default_grid(model, n_points))
+    if window is not None:
+        op, lower, upper, bracket = window
+        middle, half = (lower + upper) / 2, spread * (upper - lower) / 2
+        for lo, up in [(lower, upper), (middle - half, middle + half)]:
+            _assert_bracket_agrees(op, lo, up, bracket)
+
+
+@pytest.mark.parametrize("n_points", [500, 1000, 2000])
+def test_a_warm_strength_makes_no_sturm_count(n_points, monkeypatch):
+    # cold, the bracket's counts (one for the lowest level) replace the
+    # strength's two; warm, a strength makes no LAPACK stebz call at all
+    ranges = _recorded_stebz_ranges(monkeypatch)
+    for model, n in CRITERION_6_LEVELS:
+        grid = default_grid(model, n_points)
+        ranges.clear()
+        assert oracle_compare(model, n, 0.1 * alpha_max(model, n), grid).passed
+        assert ranges == [1] * (3 if n == discretize(model, grid).n_min else 4)
+        for fraction in (0.5, 0.9):
+            ranges.clear()
+            assert oracle_compare(model, n, fraction * alpha_max(model, n), grid).passed
+            assert ranges == []
+
+
+def test_reports_and_errors_are_the_same_without_the_bracket(monkeypatch):
+    # 968 cases: 8 grids x 11 levels x 11 strengths from 0 to the radius, each
+    # a report or the error it raises, with every bracket and with none
+    def outcomes():
+        seen = []
+        for n_points in (3, 8, 64, 500, 1000, 2000, 8191, 65536):
+            for model, n in CRITERION_6_LEVELS:
+                for fraction in FRACTIONS:
+                    try:
+                        seen.append(repr(oracle_compare(model, n, fraction * alpha_max(model, n),
+                                                        default_grid(model, n_points))))
+                    except ValueError as error:
+                        seen.append(repr(error))
+        return seen
+
+    with_brackets = outcomes()
+    assert oracle_mod._bare_level(OSC, 5, default_grid(OSC, 65536)).bracket is not None
+    oracle_mod._bare_level.cache_clear()
+    monkeypatch.setattr(oracle_mod, "_bracket", lambda *args: None)
+    assert outcomes() == with_brackets
+    assert len(with_brackets) == 968
 
 
 def _overlap(a, b):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -423,3 +424,27 @@ def test_coefficients_keep_their_value_at_the_edges_of_range():
     # order-4 term 2x**2 is past double range although E_4 fits
     with pytest.raises(ValueError, match="the order-4 series term exceeds double range"):
         correction_coefficient_closed(PerturbationSpec(e0=1e-300, w=complex(1e-200)), 4)
+
+
+def test_recurrence_keeps_coefficients_whose_ratio_powers_underflow():
+    # E_6 = E_2 * 2 ratio**4 = 4e-300 with ratio = 1e-100: E_6 / E_2 underflows,
+    # and the recurrence once carried that quotient and returned 0.0
+    spec = PerturbationSpec(1e300, complex(2e200))
+    closed = correction_coefficient_closed(spec, 6)
+    assert correction_coefficient_recurrence(spec, 6) == pytest.approx(4e-300, rel=1e-14, abs=0.0)
+    assert correction_coefficient_recurrence(spec, 6) == pytest.approx(closed, rel=1e-12, abs=0.0)
+    # every even order to 40 over decades of e0 and |W|, both signs of e0:
+    # wherever the closed route gives a normal double, the recurrence agrees
+    decades = [5e-324, 1e-310, 1e-300, 1e-200, 1e-154, 1e-100, 1e-10, 0.15, 1.0, 13.6,
+               1e10, 1e100, 1e154, 1e200, 1e300, 1.7e308]
+    for e0 in decades + [-d for d in decades]:
+        for w in decades + [2e200]:
+            spec = PerturbationSpec(e0, complex(w))
+            for s in range(2, 41, 2):
+                try:
+                    closed = correction_coefficient_closed(spec, s)
+                except ValueError:
+                    continue
+                if abs(closed) >= sys.float_info.min:
+                    recurrence = correction_coefficient_recurrence(spec, s)
+                    assert recurrence == pytest.approx(closed, rel=1e-12, abs=0.0), (e0, w, s)
