@@ -5,19 +5,19 @@ Exit codes: 0 success, 1 usage error, 2 numerical-tolerance failure
 (oracle), 3 I/O error.  Diagnostics (skipped strengths, omitted rows,
 grid warnings) go to stderr; data goes to --out or stdout.
 
-Each command's argparse parser is built on first use and kept for the
-process.  An option that takes a value takes the next word whatever it
-looks like, so `--e0 -1e-3` is a value, not an option; options are never
-abbreviated.
+Each command parses its words with one loop over its option table, and
+formats --help from the same table.  An option that takes a value takes
+the next word whatever it looks like, so `--e0 -1e-3` is a value, not an
+option, and so is the `--` of `--out --`; a bare `--` anywhere else ends
+the options.  Options are never abbreviated.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
 import os
 import sys
+from collections import namedtuple
 
 from . import models, relativistic, series
 from ._output import OutputSpec, write_output
@@ -42,7 +42,7 @@ class UsageError(Exception):
 
 _DESCRIPTION = "Quaternionic level shifts: series data, gap ratios and spectral checks."
 
-# name -> (body, columns, options); see table_command
+# name -> (body, columns, {flag: option}); see table_command
 _COMMANDS: dict[str, tuple] = {}
 
 
@@ -52,35 +52,42 @@ def table_command(name, columns, *options):
     `options` are the command's own, from `option`.  The runner turns a
     ValueError from the body into a usage error (exit 1), prints each note
     to stderr as "<name>: <note>", writes the rows under `columns` with the
-    --format/--out/--precision options it adds after the command's own,
-    and then, if `failure` is a message, exits 2 with it.
+    --format/--out/--precision options it adds after the command's own
+    (and --help last), and then, if `failure` is a message, exits 2 with it.
     """
 
     def register(body):
-        _COMMANDS[name] = (body, columns, options + _OUTPUT_OPTIONS)
+        table = {record.flag: record for record in (*options, *_OUTPUT_OPTIONS, _HELP)}
+        _COMMANDS[name] = (body, columns, table)
         return body
 
     return register
 
 
-def option(flag, kind=None, *, required=False, help="", **settings):
-    """One option: its flag, the converter of its value, whether a command
-    line must give it, and the rest of its argparse.add_argument settings.
+# one option of a command: `kind` converts its value, or is None for a flag
+# that takes no value and stores `const`; see `option`
+_Option = namedtuple("_Option", "flag dest kind default const append required help")
+
+
+def option(flag, kind=None, *, dest=None, default=None, const=None, append=False,
+           required=False, help=""):
+    """One option: its flag, the converter of its value, and where it goes.
 
     An option with a `kind` takes a value, converted by it after parsing;
-    its help line ends with its range, its default and whether it is
-    required.
+    repeated, it keeps its last value, or every value in a list if it is
+    an `append` option.  An option without one stores `const`.  `dest`
+    defaults to the flag without "--", with "_" for "-".  The help line
+    ends with the range, the default and whether the option is required.
     """
     notes = [str(kind)] if isinstance(kind, _IntRange) else []
     if required:
         notes.append("required")
-    elif kind is not None and settings.get("default") is not None:
-        notes.insert(0, f"default: {settings['default']}")
-    if kind is not None:
-        settings["metavar"] = _METAVARS.get(kind) or getattr(kind, "metavar", None)
+    elif kind is not None and default is not None:
+        notes.insert(0, f"default: {default}")
     if notes:
-        help = f"{help}  [{'; '.join(notes)}]".lstrip()
-    return flag, kind, required, dict(settings, help=help or None)
+        help = f"{help} [{'; '.join(notes)}]".lstrip()
+    return _Option(flag, dest or flag[2:].replace("-", "_"), kind, default, const, append,
+                   required, help)
 
 
 def _float(text: str) -> float:
@@ -134,27 +141,13 @@ class _Choice:
 _METAVARS = {_float: "FLOAT", _int: "INTEGER", str: "TEXT"}
 
 
-class _Append(argparse.Action):
-    """Collect each value of a repeated option in one list.
-
-    argparse's own "append" copies the list for every value, which is
-    quadratic in the number of repeats.
-    """
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        values = getattr(namespace, self.dest)
-        if values is None:
-            setattr(namespace, self.dest, [value])
-        else:
-            values.append(value)
-
-
 _OUTPUT_OPTIONS = (
     option("--format", _Choice("csv", "json"), dest="fmt", default="csv",
            help="Output format."),
     option("--out", str, dest="path", help="Output file (default: stdout); written atomically."),
     option("--precision", _IntRange(1, 15), default=5, help="Decimal places in emitted values."),
 )
+_HELP = option("--help", const=True, default=False, help="Show this message and exit.")
 
 
 def _program_name() -> str:
@@ -162,39 +155,6 @@ def _program_name() -> str:
     else the script's file name."""
     package = getattr(sys.modules.get("__main__"), "__package__", None)
     return f"python -m {package}" if package else os.path.basename(sys.argv[0])
-
-
-class _HelpFormatter(argparse.HelpFormatter):
-    """--help with the "Usage:" line of the usage errors and a wider option column."""
-
-    def __init__(self, prog):
-        super().__init__(prog, max_help_position=29)
-
-    def add_usage(self, usage, actions, groups, prefix="Usage: "):
-        super().add_usage(usage, actions, groups, prefix)
-
-
-class _Parser(argparse.ArgumentParser):
-    """A command's parser; it raises what argparse would print and exit on."""
-
-    def error(self, message):
-        raise ValueError(message)
-
-
-@functools.cache
-def _parser(name: str) -> tuple[_Parser, tuple]:
-    """The parser of one command and its options as (action, kind, required)."""
-    body, _, options = _COMMANDS[name]
-    parser = _Parser(
-        prog=f"{_program_name()} {name}", usage="%(prog)s [OPTIONS]",
-        description=body.__doc__, formatter_class=_HelpFormatter,
-        add_help=False, allow_abbrev=False, exit_on_error=False,
-    )
-    group = parser.add_argument_group("Options")
-    actions = tuple((group.add_argument(flag, **settings), kind, required)
-                    for flag, kind, required, settings in options)
-    group.add_argument("--help", action="store_true", help="Show this message and exit.")
-    return parser, actions
 
 
 quantum_number = _IntRange(hi=100000)  # lower bounds are the models' own
@@ -214,7 +174,6 @@ def _check_table_size(flag, count, size_flag, size):
 precise_rydberg = option(
     "--precise-rydberg",
     dest="ry",
-    action="store_const",
     const=relativistic.RYDBERG_EV_PRECISE,
     default=relativistic.RYDBERG_EV,
     help="Use 13.605693 eV instead of the tabulated 13.6 eV.",
@@ -226,7 +185,7 @@ precise_rydberg = option(
     ["alpha", "order", "sigma"],
     option("--model", _Choice(*[m.value for m in ModelKind]), required=True),
     option("--n", quantum_number, required=True, help="Lower level of the gap pair."),
-    option("--alpha", _float, dest="alphas", action=_Append, required=True,
+    option("--alpha", _float, dest="alphas", append=True, required=True,
            help="Strength; repeat the flag for several values."),
     option("--max-order", _IntRange(1, 50000), default=30),
 )
@@ -258,7 +217,7 @@ def cmd_hydrogen_table(alphaw, n_max, ry):
 @table_command(
     "levels",
     ["n", "alphaW_eV", "energy_eV"],
-    option("--n", quantum_number, dest="n_list", action=_Append, required=True,
+    option("--n", quantum_number, dest="n_list", append=True, required=True,
            help="Principal quantum number; repeatable."),
     option("--samples", _IntRange(2, 100000), default=100),
     precise_rydberg,
@@ -279,9 +238,9 @@ def cmd_levels(n_list, samples, ry):
     ],
     option("--model", _Choice(*[m.value for m in ModelKind if models._MODELS[m].box]),
            required=True),
-    option("--n", quantum_number, dest="n_list", action=_Append, required=True,
+    option("--n", quantum_number, dest="n_list", append=True, required=True,
            help="Quantum number; repeatable."),
-    option("--alpha", _float, dest="alphas", action=_Append, required=True,
+    option("--alpha", _float, dest="alphas", append=True, required=True,
            help="Strength; repeatable."),
     option("--grid", _int, dest="grid_points", default=2000),
     option("--order", _IntRange(1, 50000), default=50),
@@ -374,61 +333,88 @@ def cmd_series(e0, w_mod, alpha, max_order):
     return list(rows), notes, None
 
 
-# argparse finds each option word by a scan over the positions of all of
-# them, so one call is quadratic in their number; slices of this many words
-# keep a line of 10**5 repeated flags linear.
-_PARSE_SLICE = 32
-
-
 def _parse(name: str, argv: list[str]) -> dict | None:
     """The command's option values by destination, or None after printing --help.
 
-    Raises ValueError with the message of a usage error.
+    Raises ValueError with the message of the first fault, in this order:
+    a value flag at the end with no value; the first flag given "=value"
+    that takes none; the first unknown option; extra arguments.  Then
+    --help prints the help; then the first invalid value and the first
+    missing required option, each in table order.
     """
-    parser, actions = _parser(name)
-    value_flags = {action.option_strings[0] for action, kind, _ in actions if kind}
-    words, rest, after_dashes = [], iter(argv), []
-    for word in rest:
+    table = _COMMANDS[name][2]
+    given, extra, stray, unknown = {}, [], None, None
+    words = iter(argv)
+    for word in words:
         if word == "--":  # the end of the options: every later word is extra
-            after_dashes = list(rest)
-        elif word in value_flags:  # the next word is the value, whatever it looks like
-            value = next(rest, None)
-            if value is None:
-                raise ValueError(f"Option '{word}' requires an argument.")
-            words.append(f"{word}={value}")
+            extra += words
+            break
+        flag, equals, value = word.partition("=")
+        record = table.get(flag)
+        if record is None:
+            if word[:1] != "-":
+                extra.append(word)
+            elif unknown is None:
+                unknown = flag
+        elif record.kind is None:
+            if equals and stray is None:  # a value given to a flag that takes none
+                stray = flag
+            given[record.dest] = record.const
         else:
-            words.append(word)
-    namespace, extra = argparse.Namespace(), []
-    try:
-        for start in range(0, len(words) or 1, _PARSE_SLICE):
-            namespace, unknown = parser.parse_known_args(
-                words[start:start + _PARSE_SLICE], namespace)
-            extra += unknown
-    except argparse.ArgumentError as exc:  # with every value joined, only a flag given one
-        raise ValueError(f"Option '{exc.argument_name}' does not take a value.") from None
-    if options := [word for word in extra if word.startswith("-")]:
-        flags = [action.option_strings[0] for action, _, _ in actions] + ["--help"]
-        raise ValueError(_no_such_option(options[0].split("=", 1)[0], flags))
-    if extra := extra + after_dashes:
+            if not equals:  # the next word is the value, whatever it looks like
+                value = next(words, None)
+                if value is None:
+                    raise ValueError(f"Option '{flag}' requires an argument.")
+            if record.append:
+                given.setdefault(record.dest, []).append(value)
+            else:
+                given[record.dest] = value
+    if stray:
+        raise ValueError(f"Option '{stray}' does not take a value.")
+    if unknown:
+        raise ValueError(_no_such_option(unknown, list(table)))
+    if extra:
         raise ValueError(f"Got unexpected extra argument{'s' * (len(extra) > 1)} "
                          f"({' '.join(extra)})")
-    values = vars(namespace)
+    values = {record.dest: record.default for record in table.values()} | given
     if values.pop("help"):
-        sys.stdout.write(parser.format_help())
+        sys.stdout.write(_help(name))
         return None
-    for action, kind, _ in actions:
-        value = values[action.dest]
-        if kind is not None and value is not None:
+    for record in table.values():
+        if record.kind is not None and record.dest in given:
             try:
-                values[action.dest] = ([kind(word) for word in value]
-                                       if isinstance(action, _Append) else kind(value))
+                values[record.dest] = ([*map(record.kind, given[record.dest])] if record.append
+                                       else record.kind(given[record.dest]))
             except ValueError as exc:
-                raise ValueError(
-                    f"Invalid value for '{action.option_strings[0]}': {exc}") from None
-    for action, _, required in actions:
-        if required and values[action.dest] is None:
-            raise ValueError(f"Missing option '{action.option_strings[0]}'.")
+                raise ValueError(f"Invalid value for '{record.flag}': {exc}") from None
+    for record in table.values():
+        if record.required and record.dest not in given:
+            raise ValueError(f"Missing option '{record.flag}'.")
     return values
+
+
+def _help(name: str) -> str:
+    """The command's --help: each option's help text in one column, which
+    starts at most 29 characters in, wrapped to the terminal's width less 2."""
+    import shutil
+    import textwrap
+
+    body, _, table = _COMMANDS[name]
+    rows = [(record.flag if record.kind is None else
+             f"{record.flag} {_METAVARS.get(record.kind) or record.kind.metavar}", record.help)
+            for record in table.values()]
+    width = shutil.get_terminal_size().columns - 2
+    column = min(max(len(invocation) for invocation, _ in rows) + 4, 29, max(width - 20, 4))
+    lines = [f"Usage: {_program_name()} {name} [OPTIONS]", "",
+             textwrap.fill(" ".join(body.__doc__.split()), max(width, 11)), "", "Options:"]
+    for invocation, text in rows:
+        wrapped = textwrap.wrap(text, max(width - column, 11))
+        if wrapped and len(invocation) <= column - 4:  # the help starts on its line
+            lines.append(f"  {invocation:<{column - 4}}  {wrapped.pop(0)}")
+        else:
+            lines.append(f"  {invocation}")
+        lines += [" " * column + line for line in wrapped]
+    return "\n".join(lines) + "\n"
 
 
 def _no_such_option(flag: str, flags: list[str]) -> str:

@@ -202,7 +202,12 @@ def _even_terms(e0: float, coupling: float, count: int) -> list[float]:
     """
     ratio = coupling / e0 / 2.0
     x = ratio * ratio  # past double range this is inf, and the order-2 term names it
-    factors = list(_catalan_terms(x, count))
+    factors = []
+    try:
+        factors.extend(_catalan_terms(x, count))
+    except ValueError:  # e0 times an earlier term may have left range first
+        _check_range([e0 * factor for factor in factors], "coefficient", step=2)
+        raise
     even = [e0 * factor for factor in factors]
     if even and x < _DBL_MIN:
         even[0] = coupling * ratio

@@ -429,11 +429,35 @@ def test_usage_errors_print_one_error_line_and_write_nothing(run_cli, tmp_path):
         # options are never abbreviated
         ((*sigma, "--max-ord", "4"),
          "No such option '--max-ord'. (Did you mean one of: '--max-order', '--model'?)"),
+        # a value flag takes the next word, "--" included
+        (("series", "--e0", "--", *series[3:]),
+         "Invalid value for '--e0': '--' is not a valid float."),
+        ((*series, "--format", "--"),
+         "Invalid value for '--format': '--' is not one of 'csv', 'json'."),
+        # which fault is reported: a bad value before a missing option, an
+        # unknown option before a bad value, and a value flag at the end
+        # with no value before everything else
+        (("series", "--e0", "1e", "--alpha", "0.1"),
+         "Invalid value for '--e0': '1e' is not a valid float."),
+        (("series", "--e0", "1e", "--bogus", *series[3:]),
+         "No such option '--bogus'. Did you mean '--out'?"),
+        (("levels", "--precise-rydberg=1", "--n", "1", "--samples"),
+         "Option '--samples' requires an argument."),
     ]:
-        proc = run_cli(*args, "--out", str(target), expect=1)
+        proc = run_cli(*args[:1], "--out", str(target), *args[1:], expect=1)
         assert proc.stderr.endswith(f"\nError: {message}\n"), proc.stderr
         assert proc.stderr.count("Error:") == 1 and "Traceback" not in proc.stderr
         assert proc.stdout == "" and not target.exists()
+
+
+def test_help_wins_over_a_bad_value_and_a_double_dash_is_a_value(run_cli, tmp_path, monkeypatch):
+    proc = run_cli("series", "--e0", "1e", "--help", expect=0)
+    assert proc.stdout.startswith("Usage: ") and proc.stderr == ""
+    # "--" after --out is the file's name, not the end of the options
+    monkeypatch.chdir(tmp_path)
+    run_cli("hydrogen-table", "--alphaw", "0.15", "--out", "--", expect=0)
+    assert os.listdir(tmp_path) == ["--"]
+    assert (tmp_path / "--").read_text().startswith("n,E_complex_eV,")
 
 
 def test_oracle_counts_each_row_as_at_least_1024_grid_points(run_cli, monkeypatch):
@@ -481,6 +505,11 @@ def test_coefficient_column_needs_no_partial_sums(run_cli):
                    "--max-order", "4", expect=1)
     assert "coefficient column: the order-2 coefficient exceeds double range" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+    # E_32 leaves double range before the kernel's order-34 term does
+    proc = run_cli("series", "--e0", "2", "--w", "1e10", "--alpha", "1e-12",
+                   "--max-order", "34", expect=1)
+    assert proc.stderr.endswith(
+        "\nError: coefficient column: the order-32 coefficient exceeds double range\n")
 
 
 def test_coefficient_ratio_past_double_range_exits_one(run_cli):
@@ -499,6 +528,9 @@ def test_table_rows_are_bounded_before_any_work(run_cli):
         (("sigma", "--model", "well", "--n", "1", *["--alpha", "0.1"] * 21,
           "--max-order", "50000"),
          "21 --alpha values x --max-order 50000 = 1050000 rows"),
+        # a line of 10**5 repeated flags parses in linear time
+        (("levels", *["--n", "1"] * 10**5, "--samples", "11"),
+         "100000 --n values x --samples 11 = 1100000 rows"),
     ]:
         start = time.perf_counter()
         proc = run_cli(*args, "--format", "json", expect=1)
@@ -601,15 +633,29 @@ def test_help_lists_output_options_after_own_options(run_cli):
         assert options[-4:] == ["--format", "--out", "--precision", "--help"], text
 
 
-def run_python(*argv):
-    """Run a fresh interpreter with `argv`, importing this checkout's quatpert."""
+def run_python(*argv, **env):
+    """Run a fresh interpreter with `argv`, importing this checkout's quatpert,
+    with `env` added to the environment."""
     src = os.path.dirname(os.path.dirname(quatpert.__file__))
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=src, **env),
     )
+
+
+def test_help_matches_the_golden_files():
+    # tests/data/help[-<command>].<columns>.txt pin, byte for byte, the
+    # program's and each command's --help at a terminal 80 and 50 wide
+    for columns in ("80", "50"):
+        for command in ("", "hydrogen-table", "levels", "oracle", "series", "sigma"):
+            proc = run_python("-m", "quatpert", *filter(None, [command]), "--help",
+                              COLUMNS=columns)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            name = f"help-{command}" if command else "help"
+            with open(os.path.join(DATA_DIR, f"{name}.{columns}.txt"), newline="") as golden:
+                assert proc.stdout == golden.read(), (command, columns)
 
 
 def test_public_names_resolve_and_scipy_loads_with_the_oracle():
@@ -667,7 +713,8 @@ run("series", "--e0", "-13.6", "--w", "0.15", "--alpha", "1.0", "--max-order", "
 run("sigma", "--model", "well", "--n", "1", "--alpha", "0.3", "--max-order", "30")
 run("levels", "--n", "1", "--n", "2", "--samples", "100", "--out", {str(tmp_path / "levels.csv")!r})
 run("hydrogen-table", "--alphaw", "0.15", "--n-max", "5")
-loaded = sorted({{"click", "dataclasses", "inspect", "json", "numpy"}} & set(sys.modules))
+forbidden = {{"argparse", "click", "dataclasses", "gettext", "inspect", "json", "locale", "numpy"}}
+loaded = sorted(forbidden & set(sys.modules))
 assert not loaded, loaded
 run("hydrogen-table", "--alphaw", "0.15", "--n-max", "5", "--format", "json")
 assert "json" in sys.modules

@@ -398,6 +398,13 @@ def test_coefficients_past_double_range_name_the_order():
         assert route(spec, 2) == pytest.approx(5e307)
         with pytest.raises(ValueError, match="order-4 .*exceeds double range"):
             route(spec, 4)
+    # E_32 = 2.1e308 leaves double range before the kernel's own term does
+    # (order 34); both routes name order 32 at orders 32 and 34
+    spec = PerturbationSpec(e0=2.0, w=complex(1e10))
+    for route in (correction_coefficient_closed, correction_coefficient_recurrence):
+        for s in (32, 34):
+            with pytest.raises(ValueError, match="the order-32 coefficient exceeds double range"):
+                route(spec, s)
 
 
 def test_coefficients_keep_their_value_at_the_edges_of_range():
