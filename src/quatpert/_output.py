@@ -4,9 +4,11 @@ CSV uses '.' as the decimal separator, no thousands separators and LF line
 endings; floats are printed with a fixed number of decimal places.  JSON
 carries the same table as {"columns": [...], "rows": [[...]]} with floats
 rounded to the same precision, in the layout of json.dumps(indent=2).
-Both are produced column-wise: each column's conversion is chosen once per
-table, so a column of plain floats, ints or bools needs no Python call per
-cell, and one %-template per table writes the rows of either format.
+Commands hand over the table by the column (`Columns`), and both formats
+are filled the same way: each column's %-conversion is chosen once, a
+column that holds one value goes into the row template as its text, and
+one % call fills that row template repeated once per row, so a column of
+plain floats, ints or bools needs no Python call per cell or per row.
 Output is rendered fully in memory and written in one step (temp file +
 rename for paths), so a failing command never leaves partial output behind.
 """
@@ -19,7 +21,7 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 
@@ -64,20 +66,26 @@ def _json_cell(value, precision: int):
     return value
 
 
-def _column(column: tuple, precision: int, dumps) -> tuple[str, Iterable]:
+_HUGE = 2.0**52  # from here up every double is an integer
+
+
+def _column(column, precision: int, dumps) -> tuple[str, Iterable]:
     """The %-conversion of one column and the cells it formats.
 
-    `dumps` is json.dumps for JSON, None for CSV.  A column of one type (0 ==
-    False == 0.0) whose first two cells are equal is taken to repeat its
-    values, as a constant column or sigma's strengths do: each distinct
-    value is formatted once.  CSV floats print '%.Kf', -0.0 as 0.0.  A
-    finite JSON float column whose nonzero magnitudes lie in
-    [max(1e-4, 10**-K), 10**(15-K)) prints '%.Kf' less its trailing zeros:
-    round(x, K) rounds to that same K-place decimal, which has at most 15
-    digits, so it is also repr(round(x, K) + 0.0).  Ints print '%d', bools
-    true/false; other cells go one at a time.
+    `dumps` is json.dumps for JSON, None for CSV.  Ints print '%d'.  A
+    column of one other type (0 == False == 0.0) whose first two cells are
+    equal is taken to repeat its values, as sigma's strengths do: each
+    distinct value is formatted once.  CSV floats print '%.Kf', -0.0 as
+    0.0, and one of magnitude 2**52 or more, an integer, as '%d' and K
+    zeros, the same text.  A finite JSON float column whose nonzero
+    magnitudes lie in [max(1e-4, 10**-K), 10**(15-K)) prints '%.Kf' less
+    its trailing zeros: round(x, K) rounds to that same K-place decimal,
+    which has at most 15 digits, so it is also repr(round(x, K) + 0.0).
+    Bools print true/false; other cells go one at a time.
     """
     kinds = set(map(type, column))
+    if kinds == {int}:
+        return "%d", column
     if len(kinds) == 1 and len(column) > 1 and column[0] == column[1]:
         distinct = tuple(set(column))  # 0.0 and -0.0 print alike
         conversion, cells = _column(distinct, precision, dumps)
@@ -85,19 +93,22 @@ def _column(column: tuple, precision: int, dumps) -> tuple[str, Iterable]:
     if kinds == {float}:
         if 0.0 in column:  # true for -0.0 too
             column = tuple(map(operator.add, column, repeat(0.0)))
+        fixed = f"%.{precision}f"
         if dumps is None:
-            return f"%.{precision}f", column
+            if -_HUGE < min(column) and max(column) < _HUGE:  # False if either is NaN
+                return fixed, column
+            huge = f"%d.{'0' * precision}"
+            return "%s", [huge % x if _HUGE <= abs(x) < math.inf else fixed % x for x in column]
         if sys.float_repr_style == "short" and all(map(math.isfinite, column)):
             low, high = max(1e-4, float(f"1e-{precision}")), float(f"1e{15 - precision}")
             if (min(map(abs, filter(None, column)), default=low) >= low
                     and -high < min(column) and max(column) < high):
-                text = "\n".join(map(str.rstrip, map(f"%.{precision}f".__mod__, column),
-                                     repeat("0")))
-                return "%s", (text + "\n").replace(".\n", ".0\n")[:-1].split("\n")
+                text = (f"{fixed}\n" * len(column)) % tuple(column)
+                for _ in range(precision - 1):  # keep one decimal: 3.0, not 3.
+                    text = text.replace("0\n", "\n")
+                return "%s", text[:-1].split("\n")
             return "%s", map(repr, map(operator.add, map(round, column, repeat(precision)),
                                        repeat(0.0)))
-    if kinds == {int}:
-        return "%d", column
     if kinds == {bool}:
         return "%s", map(("false", "true").__getitem__, column)
     if dumps is None:
@@ -105,37 +116,70 @@ def _column(column: tuple, precision: int, dumps) -> tuple[str, Iterable]:
     return "%s", map(dumps, map(_json_cell, column, repeat(precision)))
 
 
-def render(spec: OutputSpec, columns: list[str], rows: list[list]) -> str:
+_SEQUENCES = (list, tuple, range)
+
+
+class Columns:
+    """A table by the column, `len()` rows long.
+
+    Each entry of `cells` is a list, tuple or range holding one cell per
+    row, or a single cell (None, bool, int, float or str) that every row
+    repeats.  `length` defaults to the length of the sequences, which must
+    all have it; a table of constants alone needs it given.
+    """
+
+    __slots__ = ("cells", "length")
+
+    def __init__(self, cells, length: int | None = None):
+        lengths = {len(column) for column in cells if isinstance(column, _SEQUENCES)}
+        if length is not None:
+            lengths.add(length)
+        if len(lengths) != 1:
+            raise ValueError(f"columns of lengths {sorted(lengths)}; a table needs one")
+        self.cells, self.length = cells, lengths.pop()
+
+    def __len__(self) -> int:
+        return self.length
+
+
+def render(spec: OutputSpec, names: list[str], table: Columns) -> str:
     """The table as text; cells are None, bool, int, float or str.
 
-    The table is rectangular: every row holds one cell per column, and a
-    table with rows has at least one column.  CSV floats print with
+    A table with rows has at least one column.  CSV floats print with
     `precision` places.  JSON is byte for byte
-    json.dumps({"columns": columns, "rows": rows}, indent=2) + "\\n" with
-    the floats rounded to `precision` places.  Both fill one %-template
-    per row from the columns' conversions.
+    json.dumps({"columns": names, "rows": rows}, indent=2) + "\\n" with the
+    floats rounded to `precision` places.  Each column's conversion goes
+    into one row template, a constant column as its text, and one %
+    call fills that template repeated once per row.
     """
-    cells = list(zip(*rows))  # column by column; empty when there are no rows
     if spec.fmt == "csv":
-        dumps, row, sep, between = None, "%s", ",", "\n"
+        dumps, row, sep = None, "%s\n", ","
     else:
         from json import dumps, encoder  # only for JSON output
 
-        row, sep, between = "[\n      %s\n    ]", ",\n      ", ",\n    "
-    body = ""
-    if cells:
-        conversions, converted = zip(*(_column(c, spec.precision, dumps) for c in cells))
-        body = between.join(map((row % sep.join(conversions)).__mod__, zip(*converted)))
+        row, sep = "    [\n      %s\n    ],\n", ",\n      "
+    conversions, varying = [], []
+    for column in table.cells:
+        if isinstance(column, _SEQUENCES):
+            conversion, cells = _column(column, spec.precision, dumps)
+            varying.append(cells)
+        else:
+            conversion, cells = _column((column,), spec.precision, dumps)
+            conversion = (conversion % tuple(cells)).replace("%", "%%")
+        conversions.append(conversion)
+    cells = varying[0] if len(varying) == 1 else chain.from_iterable(zip(*varying))
+    body = (row % sep.join(conversions)) * len(table) % tuple(cells)
     if dumps is None:
-        return f"{','.join(columns)}\n{body}\n" if cells else f"{','.join(columns)}\n"
-    names = ",\n    ".join(map(encoder.encode_basestring_ascii, columns))
-    names, body = (f"[\n    {items}\n  ]" if items else "[]" for items in (names, body))
+        return f"{','.join(names)}\n{body}"
+    names = ",\n    ".join(map(encoder.encode_basestring_ascii, names))
+    names = f"[\n    {names}\n  ]" if names else "[]"
+    body = f"[\n{body[:-2]}\n  ]" if body else "[]"
     return f'{{\n  "columns": {names},\n  "rows": {body}\n}}\n'
 
 
-def write_output(spec: OutputSpec, columns: list[str], rows: list[list]) -> None:
+def write_output(spec: OutputSpec, names: list[str], table: Columns) -> None:
     """Render and emit the table; file writes are atomic (temp + rename)."""
-    text = render(spec, columns, rows)
+    text = render(spec, names, table)
     if spec.path is None or spec.path == "-":
         sys.stdout.write(text)
         return

@@ -20,7 +20,7 @@ import sys
 from collections import namedtuple
 
 from . import models, relativistic, series
-from ._output import OutputSpec, write_output
+from ._output import Columns, OutputSpec, write_output
 from .models import ModelKind
 
 
@@ -47,13 +47,16 @@ _COMMANDS: dict[str, tuple] = {}
 
 
 def table_command(name, columns, *options):
-    """Register a command whose body returns (rows, notes, failure).
+    """Register a command whose body returns (cells, notes, failure).
 
-    `options` are the command's own, from `option`.  The runner turns a
-    ValueError from the body into a usage error (exit 1), prints each note
-    to stderr as "<name>: <note>", writes the rows under `columns` with the
-    --format/--out/--precision options it adds after the command's own
-    (and --help last), and then, if `failure` is a message, exits 2 with it.
+    `cells` holds one entry per name in `columns`: a list, tuple or range
+    with one cell per row, or, for a column that holds one value, that
+    value alone, which the renderer folds into its row template.  `options`
+    are the command's own, from `option`.  The runner turns a ValueError
+    from the body into a usage error (exit 1), prints each note to stderr
+    as "<name>: <note>", writes the table with the --format/--out/
+    --precision options it adds after the command's own (and --help last),
+    and then, if `failure` is a message, exits 2 with it.
     """
 
     def register(body):
@@ -104,6 +107,12 @@ def _int(text: str) -> int:
         raise ValueError(f"{text!r} is not a valid integer.") from None
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise ValueError("'' is not a file name.")
+    return text
+
+
 class _IntRange:
     """An integer within [lo, hi]; a bound of None is open."""
 
@@ -138,13 +147,13 @@ class _Choice:
         return text
 
 
-_METAVARS = {_float: "FLOAT", _int: "INTEGER", str: "TEXT"}
+_METAVARS = {_float: "FLOAT", _int: "INTEGER", str: "TEXT", _path: "TEXT"}
 
 
 _OUTPUT_OPTIONS = (
     option("--format", _Choice("csv", "json"), dest="fmt", default="csv",
            help="Output format."),
-    option("--out", str, dest="path", help="Output file (default: stdout); written atomically."),
+    option("--out", _path, dest="path", help="Output file (default: stdout); written atomically."),
     option("--precision", _IntRange(1, 15), default=5, help="Decimal places in emitted values."),
 )
 _HELP = option("--help", const=True, default=False, help="Show this message and exit.")
@@ -192,9 +201,9 @@ precise_rydberg = option(
 def cmd_sigma(model, n, alphas, max_order):
     """Gap ratio sigma versus truncation order, one row per (alpha, order)."""
     _check_table_size("--alpha", len(alphas), "--max-order", max_order)
-    result = models.sigma_curve(ModelKind(model), n, alphas, max_order)
-    skipped = [f"skipped alpha={alpha:.6g}: {reason}" for alpha, reason in result.skipped]
-    return result.rows, skipped + list(result.notes), None
+    cells, skipped, notes = models._sigma_columns(ModelKind(model), n, alphas, max_order)
+    skipped = [f"skipped alpha={alpha:.6g}: {reason}" for alpha, reason in skipped]
+    return cells, skipped + list(notes), None
 
 
 @table_command(
@@ -206,12 +215,8 @@ def cmd_sigma(model, n, alphas, max_order):
 )
 def cmd_hydrogen_table(alphaw, n_max, ry):
     """Hydrogen levels: bare vs relativistic vs quaternionic, in eV."""
-    table = relativistic.comparison_table(alphaw, n_max, ry)
-    rows = [
-        [r.n, r.e_complex, r.e_relativistic, r.e_quaternionic, r.alpha_w_ev]
-        for r in table.rows
-    ]
-    return rows, [f"omitted n={n}: {reason}" for n, reason in table.omitted], None
+    cells, omitted = relativistic._comparison_columns(alphaw, n_max, ry)
+    return [*cells, alphaw], [f"omitted n={n}: {reason}" for n, reason in omitted], None
 
 
 @table_command(
@@ -225,7 +230,7 @@ def cmd_hydrogen_table(alphaw, n_max, ry):
 def cmd_levels(n_list, samples, ry):
     """Hydrogen level curves over the admissible coupling range, in eV."""
     _check_table_size("--n", len(n_list), "--samples", samples)
-    return relativistic.hydrogen_levels_vs_potential(n_list, samples, ry), [], None
+    return relativistic._level_columns(n_list, samples, ry), [], None
 
 
 @table_command(
@@ -286,11 +291,12 @@ def cmd_oracle(model, n_list, alphas, grid_points, order, x_min, x_max):
         ])
         if (message := _oracle_failure(report)) is not None:
             failures.append((n, alpha, message))
+    cells = list(zip(*rows))
     if len(pairs) == 1:  # one comparison keeps its one-line error
-        return rows, [], failures[0][2] if failures else None
+        return cells, [], failures[0][2] if failures else None
     notes = [f"n={n} alpha={alpha:.6g}: {message}" for n, alpha, message in failures]
     summary = f"{len(failures)} of {len(rows)} comparisons failed" if failures else None
-    return rows, notes, summary
+    return cells, notes, summary
 
 
 def _oracle_failure(report):
@@ -328,9 +334,9 @@ def cmd_series(e0, w_mod, alpha, max_order):
     else:
         notes = []
     limit = evaluation.limit_estimate if evaluation.in_radius else None
-    rows = zip(itertools.count(1), coefficients, evaluation.terms, evaluation.partial_sums,
-               itertools.repeat(limit), itertools.repeat(evaluation.in_radius))
-    return list(rows), notes, None
+    cells = [range(1, max_order + 1), coefficients, evaluation.terms, evaluation.partial_sums,
+             limit, evaluation.in_radius]
+    return cells, notes, None
 
 
 def _parse(name: str, argv: list[str]) -> dict | None:
@@ -438,12 +444,12 @@ def _run(name: str, argv: list[str]) -> None:
         if params is None:
             return
         spec = OutputSpec(params.pop("fmt"), params.pop("path"), params.pop("precision"))
-        rows, notes, failure = body(**params)
+        cells, notes, failure = body(**params)
     except ValueError as exc:
         raise UsageError(str(exc), name) from None
     for note in notes:
         print(f"{name}: {note}", file=sys.stderr)
-    write_output(spec, columns, rows)
+    write_output(spec, columns, Columns(cells))
     if failure:
         raise ToleranceFailure(failure)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Callable
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import sub, truediv
 from typing import NamedTuple
 
@@ -36,7 +36,7 @@ from .series import (
     _catalan_terms,
     _check_range,
     _closed_form,
-    _even_terms,
+    _even_sums,
     _finite,
     _outside_radius,
     perturbed_energy,
@@ -284,15 +284,24 @@ def sigma_curve(
     One row (alpha, s, sigma_s) per requested strength and order, in the
     given alpha order.  Strengths beyond :func:`sigma_alpha_limit` are
     skipped and reported; strengths inside the acceptance bound but beyond
-    the pair radius are kept and noted as non-convergent.
+    the pair radius are kept and noted as non-convergent.  The rows are
+    those of :func:`_sigma_columns`.
     """
+    columns, skipped, notes = _sigma_columns(model, n, alphas, max_order)
+    return SigmaCurveResult(rows=tuple(zip(*columns)), skipped=skipped, notes=notes)
+
+
+def _sigma_columns(model: ModelKind, n: int, alphas: list[float], max_order: int):
+    """The columns (alpha, order, sigma) of :func:`sigma_curve`, with its
+    skipped strengths and notes."""
     _check_n(model, n)
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     lam = spectral_gap(model, n)
     limit = sigma_alpha_limit(model, n)
     pair_bound = gap_alpha_max(model, n)
-    rows: list[tuple[float, int, float]] = []
+    strengths: list[float] = []
+    sigma: list[float] = []
     skipped: list[tuple[float, str]] = []
     notes: list[str] = []
     for alpha in alphas:
@@ -317,9 +326,9 @@ def sigma_curve(
         sums = []
         for level in (LevelSpec(model, n), LevelSpec(model, n + 1)):
             spec = perturbation_spec(level, alpha)
-            sums.append(list(accumulate(_even_terms(spec.e0, spec.coupling, max_order),
-                                        initial=spec.e0))[1:])
+            sums.append(_even_sums(spec.e0, spec.coupling, max_order))
             _check_range(sums[-1], "partial sum", step=2)
-        gaps = map(sub, sums[1], sums[0])
-        rows.extend(zip(repeat(alpha), range(1, max_order + 1), map(truediv, gaps, repeat(lam))))
-    return SigmaCurveResult(rows=tuple(rows), skipped=tuple(skipped), notes=tuple(notes))
+        strengths.extend(repeat(alpha, max_order))
+        sigma.extend(map(truediv, map(sub, sums[1], sums[0]), repeat(lam)))
+    orders = list(range(1, max_order + 1)) * (len(sigma) // max_order)
+    return (strengths, orders, sigma), tuple(skipped), tuple(notes)

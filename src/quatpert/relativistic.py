@@ -84,13 +84,22 @@ def comparison_table(
     """Rows (E(n), E_rel(n, 0), E_quat(n)) for n = 1..n_max.
 
     Levels whose radius R_y/n**2 is exceeded by the coupling are omitted
-    and reported instead of being summed divergently.
+    and reported instead of being summed divergently.  The rows are those
+    of :func:`_comparison_columns`.
     """
+    columns, omitted = _comparison_columns(alpha_w_ev, n_max, rydberg_ev)
+    rows = tuple(map(ComparisonRow, *columns, repeat(alpha_w_ev)))
+    return ComparisonTable(rows=rows, omitted=omitted)
+
+
+def _comparison_columns(alpha_w_ev: float, n_max: int, rydberg_ev: float = RYDBERG_EV):
+    """The columns (n, E(n), E_rel(n, 0), E_quat(n)) of :func:`comparison_table`,
+    whose last column repeats alpha_w_ev, and its omitted levels."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if alpha_w_ev < 0:
         raise ValueError("alpha_w_ev must be >= 0")
-    rows = []
+    ns, bare, relativistic, quaternionic = [], [], [], []
     omitted = []
     for n in range(1, n_max + 1):
         e0 = _level_ev(n, rydberg_ev)
@@ -100,16 +109,11 @@ def comparison_table(
                     f"{-e0:.6g} eV")
             )
             continue
-        rows.append(
-            ComparisonRow(
-                n=n,
-                e_complex=e0,
-                e_relativistic=relativistic_energy(n, 0, rydberg_ev),
-                e_quaternionic=quaternionic_hydrogen_energy(n, alpha_w_ev, rydberg_ev),
-                alpha_w_ev=alpha_w_ev,
-            )
-        )
-    return ComparisonTable(rows=tuple(rows), omitted=tuple(omitted))
+        ns.append(n)
+        bare.append(e0)
+        relativistic.append(relativistic_energy(n, 0, rydberg_ev))
+        quaternionic.append(quaternionic_hydrogen_energy(n, alpha_w_ev, rydberg_ev))
+    return (ns, bare, relativistic, quaternionic), tuple(omitted)
 
 
 def hydrogen_levels_vs_potential(
@@ -119,14 +123,25 @@ def hydrogen_levels_vs_potential(
 
     For each n the coupling is sampled uniformly on [0, |R_y|/n**2]; the
     endpoint is the largest coupling the series radius admits, where the
-    level reaches -sqrt(2) * R_y/n**2.  Each energy is `series._closed_form`
-    of the sample, bit for bit `quaternionic_hydrogen_energy`, mapped over
-    the samples without a spec or a call per sample.  A level, or a grid
-    product top * (samples - 1), past double range raises ValueError.
+    level reaches -sqrt(2) * R_y/n**2.  The rows are those of
+    :func:`_level_columns`.
+    """
+    return list(zip(*_level_columns(n_list, samples, rydberg_ev)))
+
+
+def _level_columns(n_list: list[int], samples: int, rydberg_ev: float = RYDBERG_EV):
+    """The columns (n, alpha*|W|, energy) of :func:`hydrogen_levels_vs_potential`.
+
+    Each energy is `series._closed_form` of the sample, bit for bit
+    `quaternionic_hydrogen_energy`, mapped over the samples without a spec
+    or a call per sample.  A level, or a grid product top * (samples - 1),
+    past double range raises ValueError.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    rows = []
+    levels: list[int] = []
+    couplings: list[float] = []
+    energies: list[float] = []
     for n in n_list:
         e0 = _level_ev(n, rydberg_ev)
         top = abs(e0)
@@ -136,9 +151,9 @@ def hydrogen_levels_vs_potential(
         # k <= samples - 2: top * k rounds by less than top (samples < 2**53), so it
         # stays below top * (samples - 1) and the quotient rounds to at most top;
         # only the last sample can round past top, and min() keeps it on top
-        couplings = list(map(truediv, map(mul, repeat(top), range(samples)),
-                             repeat(samples - 1)))
-        couplings[-1] = min(top, couplings[-1])
-        energies = map(copysign, map(hypot, repeat(e0), couplings), repeat(e0))
-        rows.extend(zip(repeat(n), couplings, energies))
-    return rows
+        grid = list(map(truediv, map(mul, repeat(top), range(samples)), repeat(samples - 1)))
+        grid[-1] = min(top, grid[-1])
+        levels.extend(repeat(n, samples))
+        couplings.extend(grid)
+        energies.extend(map(copysign, map(hypot, repeat(e0), grid), repeat(e0)))
+    return levels, couplings, energies

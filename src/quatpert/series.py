@@ -27,7 +27,9 @@ The range rule has one wording, `_finite(value, what)`: a value past
 double range raises ValueError("the <what> exceeds double range"), so
 every public route returns finite numbers or raises.  `_check_range`
 names the first order of a sequence through it, and the series ratio
-coupling/2E is formed in one place, `_even_terms`.
+coupling/2E is formed as coupling / e0 / 2 by `_even_terms` and by
+`_even_sums`, its partial sums, which stop adding terms too small to move
+them.
 
 Only |W| and even powers of alpha enter, so results are invariant under
 alpha -> -alpha and under any phase rotation of W.
@@ -192,8 +194,8 @@ def _even_terms(e0: float, coupling: float, count: int) -> list[float]:
 
     With coupling = |alpha*W| these are the series terms alpha**s * E_s,
     with coupling = |W| the coefficients E_s.  The ratio coupling/2E is
-    formed here alone, as coupling / e0 / 2 so that no intermediate 2*e0
-    overflows.  Where a Catalan term underflows below the normal range,
+    formed as coupling / e0 / 2 (here and in `_even_sums`) so that no
+    intermediate 2*e0 overflows.  Where a Catalan term underflows below the normal range,
     e0 is folded in first (the order-2 term is coupling * ratio), for as
     long as the product stays normal, so it keeps the bits the term lost.
     A value outside double range raises ValueError naming the first order
@@ -219,6 +221,33 @@ def _even_terms(e0: float, coupling: float, count: int) -> list[float]:
         even[t] = carried
     _check_range(even, "coefficient", step=2)
     return even
+
+
+def _even_sums(e0: float, coupling: float, count: int) -> list[float]:
+    """The partial sums e0 + the first k `_even_terms`, k = 1..count, bit for bit.
+
+    For DBL_MIN <= x <= 1/4 the term magnitudes shrink strictly, so once a
+    term is below a quarter ulp of the running sum, adding it or any later
+    term leaves the sum as it is: the remaining sums repeat it and their
+    terms are never formed.  Other x, and a factor below the normal range
+    before that point, take the full walk.  Raises as `_even_terms` does.
+    """
+    ratio = coupling / e0 / 2.0
+    x = ratio * ratio
+    if _DBL_MIN <= x <= 0.25:
+        total, sums, factor = e0, [], 2.0 * x
+        for t in range(1, count + 1):
+            if abs(factor) < _DBL_MIN:
+                break  # `_even_terms` carries e0 into such terms
+            term = e0 * factor
+            if 4.0 * abs(term) < math.ulp(total):
+                return sums + [total] * (count - len(sums))
+            total += term
+            sums.append(total)
+            factor *= -x * (4 * t - 2) / (t + 1)
+        else:
+            return sums
+    return list(accumulate(_even_terms(e0, coupling, count), initial=e0))[1:]
 
 
 def _order_terms(e0: float, coupling: float, max_order: int) -> list[float]:

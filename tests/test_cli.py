@@ -443,6 +443,8 @@ def test_usage_errors_print_one_error_line_and_write_nothing(run_cli, tmp_path):
          "No such option '--bogus'. Did you mean '--out'?"),
         (("levels", "--precise-rydberg=1", "--n", "1", "--samples"),
          "Option '--samples' requires an argument."),
+        # an empty --out names no file, before any work is done
+        ((*series, "--out", ""), "Invalid value for '--out': '' is not a file name."),
     ]:
         proc = run_cli(*args[:1], "--out", str(target), *args[1:], expect=1)
         assert proc.stderr.endswith(f"\nError: {message}\n"), proc.stderr

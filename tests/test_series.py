@@ -1,17 +1,22 @@
 import cmath
 import math
 import random
+import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quatpert import series
 from quatpert.series import (
     PerturbationSpec,
     RadiusError,
     _catalan_terms,
+    _even_sums,
+    _even_terms,
     _order_terms,
     catalan,
     closed_form_limit,
@@ -455,3 +460,48 @@ def test_recurrence_keeps_coefficients_whose_ratio_powers_underflow():
                 if abs(closed) >= sys.float_info.min:
                     recurrence = correction_coefficient_recurrence(spec, s)
                     assert recurrence == pytest.approx(closed, rel=1e-12, abs=0.0), (e0, w, s)
+
+
+def full_even_sums(e0, coupling, count):
+    """The partial sums without the freeze: every term formed and added."""
+    return list(accumulate(_even_terms(e0, coupling, count), initial=e0))[1:]
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(
+    e0=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    negative=st.booleans(),
+    ratio=st.floats(0.0, 1.1),
+    count=st.integers(1, 600),
+)
+@example(e0=1.0, negative=False, ratio=1.0, count=600)  # x = 1/4 exactly
+@example(e0=3.0, negative=True, ratio=1.0, count=600)
+@example(e0=1.0, negative=False, ratio=math.nextafter(1.0, 2.0), count=600)  # x just above 1/4
+@example(e0=1.0, negative=True, ratio=1e-160, count=40)  # x subnormal
+@example(e0=1e20, negative=False, ratio=1e-2, count=200)  # a factor below the normal range
+@example(e0=1.7e308, negative=False, ratio=1.0, count=5)  # the order-2 sum leaves range
+@example(e0=1.0, negative=False, ratio=1.8, count=30)  # sigma's well n = 1 at alpha = 0.9
+# the order-2 sum is 1.0, and the order-4 term, below half an ulp of it, still
+# moves it down into the next binade: a half-ulp freeze would miss that
+@example(e0=0.9999999870277859, negative=False, ratio=0.00016107274301426937, count=10)
+def test_frozen_partial_sums_equal_the_full_walk_bit_for_bit(e0, negative, ratio, count):
+    # once a term is below a quarter ulp of the sum no later sum moves, so
+    # the frozen sums are the full walk's, and so is any error it raises
+    e0 = -e0 if negative else e0
+    coupling = ratio * abs(e0)
+    try:
+        expected = full_even_sums(e0, coupling, count)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _even_sums(e0, coupling, count)
+    else:
+        assert list(map(float.hex, _even_sums(e0, coupling, count))) == list(
+            map(float.hex, expected))
+
+
+def test_partial_sums_freeze_without_the_full_walk(monkeypatch):
+    # inside the radius sigma's sums stop forming terms once they freeze
+    monkeypatch.setattr(series, "_even_terms", None)
+    sums = _even_sums(-1.0, 0.3, 50000)
+    assert sums[-1] == pytest.approx(closed_form_limit(PerturbationSpec(-1.0, complex(0.3), 1.0)),
+                                     rel=1e-15, abs=0.0)
